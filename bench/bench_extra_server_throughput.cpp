@@ -105,7 +105,7 @@ LoadResult DriveLoad(uint16_t port, size_t connections, int num_features,
   return total;
 }
 
-void Run() {
+int Run() {
   Workbench& workbench = bench::SharedWorkbench();
   const T3Model& main_model = workbench.MainModel();
   const int num_features = main_model.forest().num_features;
@@ -204,17 +204,15 @@ void Run() {
     }
   }
 
+  const bool pass = preds_at_64 >= kTargetPredsPerSec;
   std::printf("\nThroughput at 64 connections: %.0f preds/s "
-              "(target >= %.0f)%s\n",
-              preds_at_64, kTargetPredsPerSec,
-              preds_at_64 >= kTargetPredsPerSec ? " [ok]" : "");
+              "(target >= %.0f) [%s]\n",
+              preds_at_64, kTargetPredsPerSec, pass ? "ok" : "FAIL");
   (*server)->Stop();
+  return pass ? 0 : 1;
 }
 
 }  // namespace
 }  // namespace t3
 
-int main() {
-  t3::Run();
-  return 0;
-}
+int main() { return t3::Run(); }

@@ -25,7 +25,7 @@ void Run() {
     const auto records = SelectRecords(corpus, bench::IsTestFixed);
     if (!records.empty()) {
       const QErrorSummary summary = Summarize(
-          QErrors(t3, records, CardinalityMode::kTrue));
+          EvaluateModel(t3, records, CardinalityMode::kTrue));
       table.AddRow({"Fixed", StrFormat("%zu", summary.count),
                     bench::FormatQ(summary.p50), bench::FormatQ(summary.p90),
                     bench::FormatQ(summary.avg)});
@@ -38,7 +38,7 @@ void Run() {
     });
     if (records.empty()) continue;
     const QErrorSummary summary =
-        Summarize(QErrors(t3, records, CardinalityMode::kTrue));
+        Summarize(EvaluateModel(t3, records, CardinalityMode::kTrue));
     table.AddRow({QueryGroupName(group), StrFormat("%zu", summary.count),
                   bench::FormatQ(summary.p50), bench::FormatQ(summary.p90),
                   bench::FormatQ(summary.avg)});

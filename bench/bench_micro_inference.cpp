@@ -5,7 +5,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstddef>
 #include <functional>
+#include <vector>
 
 #include "common/random.h"
 #include "gbt/forest.h"
@@ -51,32 +53,38 @@ Forest MakeForest(int num_trees, int leaves_per_tree, uint64_t seed) {
   return forest;
 }
 
-std::vector<double> MakeRow(uint64_t seed) {
-  Rng rng(seed);
-  std::vector<double> row(kFeatures);
-  for (double& v : row) v = rng.UniformDouble(0, 1);
-  return row;
+// Rows the single-row benches cycle through. Timing one fixed row would let
+// the branch predictor learn every tree's path; a pool this large spreads
+// the paths past what it can memorize, as varied production rows do.
+constexpr size_t kPoolRows = 1024;
+
+std::vector<double> MakeRowPool() {
+  Rng rng(7);
+  std::vector<double> rows(kPoolRows * kFeatures);
+  for (double& v : rows) v = rng.UniformDouble(0, 1);
+  return rows;
+}
+
+void TimePredict(benchmark::State& state, const ForestEvaluator& evaluator) {
+  const std::vector<double> rows = MakeRowPool();
+  size_t i = 0;
+  for (auto _ : state) {
+    const double* row = &rows[(i++ % kPoolRows) * kFeatures];
+    benchmark::DoNotOptimize(evaluator.Predict(row));
+  }
 }
 
 void BM_Interpreted(benchmark::State& state) {
   const Forest forest =
       MakeForest(static_cast<int>(state.range(0)), 31, 42);
-  const InterpretedEvaluator evaluator(forest);
-  const auto row = MakeRow(7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(evaluator.Predict(row.data()));
-  }
+  TimePredict(state, InterpretedEvaluator(forest));
 }
 BENCHMARK(BM_Interpreted)->Arg(10)->Arg(50)->Arg(200);
 
 void BM_Flat(benchmark::State& state) {
   const Forest forest =
       MakeForest(static_cast<int>(state.range(0)), 31, 42);
-  const FlatEvaluator evaluator(forest);
-  const auto row = MakeRow(7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(evaluator.Predict(row.data()));
-  }
+  TimePredict(state, FlatEvaluator(forest));
 }
 BENCHMARK(BM_Flat)->Arg(10)->Arg(50)->Arg(200);
 
@@ -85,10 +93,7 @@ void BM_Compiled(benchmark::State& state) {
       MakeForest(static_cast<int>(state.range(0)), 31, 42);
   auto compiled = CompiledForest::Compile(forest);
   T3_CHECK(compiled.ok());
-  const auto row = MakeRow(7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize((*compiled)->Predict(row.data()));
-  }
+  TimePredict(state, **compiled);
 }
 BENCHMARK(BM_Compiled)->Arg(10)->Arg(50)->Arg(200);
 

@@ -75,80 +75,6 @@ double PredictQuerySeconds(const T3Model& model, const QueryRecord& record,
   return total;
 }
 
-std::vector<double> QErrors(const T3Model& model,
-                            const std::vector<const QueryRecord*>& records,
-                            CardinalityMode mode) {
-  std::vector<double> q_errors;
-  q_errors.reserve(records.size());
-  for (const QueryRecord* record : records) {
-    q_errors.push_back(QError(PredictQuerySeconds(model, *record, mode),
-                              record->median_seconds));
-  }
-  return q_errors;
-}
-
-std::vector<double> PredictQuerySecondsBatched(
-    const T3Model& model, const ForestEvaluator& evaluator,
-    const std::vector<const QueryRecord*>& records, CardinalityMode mode) {
-  std::vector<double> seconds(records.size(), 0.0);
-  if (records.empty()) return seconds;
-
-  // Flatten the rows every record contributes. Per-query targets contribute
-  // one summed vector per record (matching PredictQuerySeconds); the other
-  // targets one row per pipeline.
-  const bool per_query = model.target() == PredictionTarget::kPerQuery;
-  size_t num_features = 0;
-  std::vector<double> flat;
-  std::vector<size_t> row_record;
-  std::vector<double> row_cardinality;
-  // Ragged feature rows cannot share one batch; the per-record path is
-  // bit-identical by the evaluator contract.
-  auto predict_ragged = [&] {
-    for (size_t i = 0; i < records.size(); ++i) {
-      seconds[i] = PredictQuerySeconds(model, *records[i], mode);
-    }
-    return seconds;
-  };
-  for (size_t r = 0; r < records.size(); ++r) {
-    if (per_query) {
-      const std::vector<double> summed =
-          SummedQueryFeatures(*records[r], mode);
-      if (summed.empty()) continue;
-      if (row_record.empty()) num_features = summed.size();
-      if (summed.size() != num_features) return predict_ragged();
-      flat.insert(flat.end(), summed.begin(), summed.end());
-      row_record.push_back(r);
-      row_cardinality.push_back(0.0);
-      continue;
-    }
-    const std::vector<PipelineFeatures>& features_set =
-        mode == CardinalityMode::kTrue ? records[r]->feat_true
-                                       : records[r]->feat_est;
-    for (const PipelineFeatures& features : features_set) {
-      if (row_record.empty()) num_features = features.values.size();
-      if (features.values.size() != num_features) return predict_ragged();
-      flat.insert(flat.end(), features.values.begin(), features.values.end());
-      row_record.push_back(r);
-      row_cardinality.push_back(features.input_cardinality);
-    }
-  }
-  if (row_record.empty()) return seconds;
-
-  std::vector<double> raw(row_record.size());
-  evaluator.PredictBatch(flat.data(), row_record.size(), num_features,
-                         raw.data());
-
-  // Same per-row transform and per-record left-to-right accumulation as
-  // PredictQuerySeconds, so the result matches it bit for bit.
-  const bool per_tuple = model.target() == PredictionTarget::kPerTuple;
-  for (size_t i = 0; i < row_record.size(); ++i) {
-    double s = InverseTransformTarget(raw[i]);
-    if (per_tuple) s *= std::max(row_cardinality[i], 1.0);
-    seconds[row_record[i]] += s;
-  }
-  return seconds;
-}
-
 std::vector<RecordEvaluation> EvaluateModel(
     const T3Model& model, const std::vector<const QueryRecord*>& records,
     CardinalityMode mode) {
@@ -176,19 +102,6 @@ std::vector<double> QErrors(const std::vector<RecordEvaluation>& evals) {
 
 QErrorSummary Summarize(const std::vector<RecordEvaluation>& evals) {
   return Summarize(QErrors(evals));
-}
-
-std::vector<double> QErrorsBatched(
-    const T3Model& model, const ForestEvaluator& evaluator,
-    const std::vector<const QueryRecord*>& records, CardinalityMode mode) {
-  const std::vector<double> predicted =
-      PredictQuerySecondsBatched(model, evaluator, records, mode);
-  std::vector<double> q_errors;
-  q_errors.reserve(records.size());
-  for (size_t i = 0; i < records.size(); ++i) {
-    q_errors.push_back(QError(predicted[i], records[i]->median_seconds));
-  }
-  return q_errors;
 }
 
 }  // namespace t3

@@ -8,7 +8,6 @@
 
 #include "harness/corpus.h"
 #include "model/t3_model.h"
-#include "treejit/evaluator.h"
 
 namespace t3 {
 
@@ -58,11 +57,6 @@ std::vector<double> SummedQueryFeatures(const QueryRecord& record,
 double PredictQuerySeconds(const T3Model& model, const QueryRecord& record,
                            CardinalityMode mode = CardinalityMode::kTrue);
 
-/// Q-errors of `model` over `records` against measured medians.
-std::vector<double> QErrors(const T3Model& model,
-                            const std::vector<const QueryRecord*>& records,
-                            CardinalityMode mode = CardinalityMode::kTrue);
-
 /// One record's evaluation under a model: what the paper's accuracy tables
 /// are made of before Summarize reduces them.
 struct RecordEvaluation {
@@ -83,26 +77,6 @@ std::vector<double> QErrors(const std::vector<RecordEvaluation>& evals);
 
 /// Reduces per-record evaluations to the paper's reported summary.
 QErrorSummary Summarize(const std::vector<RecordEvaluation>& evals);
-
-/// Batched counterpart of PredictQuerySeconds over a whole record set: every
-/// pipeline feature row the records contribute is flattened into one
-/// row-major matrix and pushed through a single `evaluator.PredictBatch`
-/// call, then reduced per record. When `evaluator` evaluates model.forest()
-/// (every ForestEvaluator guarantees bit-identical Predict), the result
-/// matches per-record PredictQuerySeconds bit for bit: same rows, same
-/// inverse transform and cardinality scaling, same left-to-right per-record
-/// summation. Returns one predicted-seconds value per record.
-std::vector<double> PredictQuerySecondsBatched(
-    const T3Model& model, const ForestEvaluator& evaluator,
-    const std::vector<const QueryRecord*>& records,
-    CardinalityMode mode = CardinalityMode::kTrue);
-
-/// QErrors computed through PredictQuerySecondsBatched — the batched
-/// inference path the throughput bench times end to end.
-std::vector<double> QErrorsBatched(
-    const T3Model& model, const ForestEvaluator& evaluator,
-    const std::vector<const QueryRecord*>& records,
-    CardinalityMode mode = CardinalityMode::kTrue);
 
 }  // namespace t3
 

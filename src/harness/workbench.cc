@@ -8,6 +8,7 @@
 
 #include "analysis/forest_diff.h"
 #include "common/check.h"
+#include "common/hash.h"
 #include "common/string_util.h"
 #include "common/timer.h"
 #include "features/feature_registry.h"
@@ -36,6 +37,42 @@ int QuickTreesCap() {
     return 0;
   }
   return static_cast<int>(parsed);
+}
+
+/// Folds everything that shapes a trained forest, apart from the corpus,
+/// into `hash`: the target, the dropped features, the runs limit and the
+/// effective TrainParams (after the T3_QUICK_TREES cap).
+void HashTrainingInputs(const T3Config& config, const TrainParams& params,
+                        int runs_limit, Fnv1a* hash) {
+  hash->U64(static_cast<uint64_t>(config.target));
+  hash->U64(config.drop_features.size());
+  for (const int feature : config.drop_features) {
+    hash->U64(static_cast<uint64_t>(feature));
+  }
+  hash->U64(static_cast<uint64_t>(runs_limit));
+  hash->U64(static_cast<uint64_t>(params.num_trees));
+  hash->U64(static_cast<uint64_t>(params.max_leaves));
+  hash->F64(params.learning_rate);
+  hash->U64(static_cast<uint64_t>(params.max_bins));
+  hash->U64(static_cast<uint64_t>(params.min_data_in_leaf));
+  hash->F64(params.l2_reg);
+  hash->F64(params.min_split_gain);
+  hash->U64(static_cast<uint64_t>(params.objective));
+  hash->F64(params.validation_fraction);
+  hash->U64(static_cast<uint64_t>(params.early_stopping_rounds));
+  hash->U64(params.seed);
+}
+
+/// `config.train` with the T3_QUICK_TREES cap applied.
+TrainParams EffectiveTrainParams(const T3Config& config) {
+  TrainParams params = config.train;
+  const int quick_cap = QuickTreesCap();
+  if (quick_cap > 0) params.num_trees = std::min(params.num_trees, quick_cap);
+  return params;
+}
+
+std::string CachePath(const std::string& data_dir, const std::string& key) {
+  return data_dir + "/cache_model_" + key + ".txt";
 }
 
 }  // namespace
@@ -185,17 +222,42 @@ const T3Model& Workbench::GetModel(const std::string& name,
   return GetModelLocked(name, mode, train_filter, config, runs_limit);
 }
 
+std::string Workbench::ModelCachePath(const std::string& name,
+                                      CardinalityMode mode,
+                                      const T3Config& config,
+                                      int runs_limit) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return CachePath(data_dir_, ModelKeyLocked(name, mode, config, runs_limit));
+}
+
+std::string Workbench::ModelKeyLocked(const std::string& name,
+                                      CardinalityMode mode,
+                                      const T3Config& config,
+                                      int runs_limit) {
+  if (!corpus_fingerprint_.has_value()) {
+    Fnv1a corpus_hash;
+    const std::string text = CorpusToText(CorpusLocked());
+    corpus_hash.Bytes(text.data(), text.size());
+    corpus_fingerprint_ = corpus_hash.hash();
+  }
+  Fnv1a hash;
+  hash.U64(*corpus_fingerprint_);
+  HashTrainingInputs(config, EffectiveTrainParams(config), runs_limit,
+                     &hash);
+  return StrFormat("%s_%s_%016llx", name.c_str(), ModeSuffix(mode),
+                   static_cast<unsigned long long>(hash.hash()));
+}
+
 const T3Model& Workbench::GetModelLocked(const std::string& name,
                                          CardinalityMode mode,
                                          const RecordFilter& train_filter,
                                          const T3Config& config,
                                          int runs_limit) {
-  const std::string key = name + "_" + ModeSuffix(mode);
+  const std::string key = ModelKeyLocked(name, mode, config, runs_limit);
   auto it = models_.find(key);
   if (it != models_.end()) return *it->second;
 
-  const std::string cache_path =
-      data_dir_ + "/cache_model_" + key + ".txt";
+  const std::string cache_path = CachePath(data_dir_, key);
   Result<T3Model> cached = T3Model::LoadFromFile(cache_path);
   if (cached.ok() && cached->target() == config.target) {
     return *(models_[key] =
@@ -220,10 +282,7 @@ const T3Model& Workbench::GetModelLocked(const std::string& name,
       data, train_filter, mode, config, runs_limit, &PoolLocked());
   T3_CHECK_OK(matrix);
 
-  TrainParams params = config.train;
-  const int quick_cap = QuickTreesCap();
-  if (quick_cap > 0) params.num_trees = std::min(params.num_trees, quick_cap);
-
+  const TrainParams params = EffectiveTrainParams(config);
   std::fprintf(stderr,
                "Workbench: training model %s on %zu rows x %zu features...\n",
                key.c_str(), matrix->targets.size(), matrix->num_features);

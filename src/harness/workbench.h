@@ -1,9 +1,11 @@
 #ifndef T3_HARNESS_WORKBENCH_H_
 #define T3_HARNESS_WORKBENCH_H_
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,8 +50,10 @@ std::vector<NamedModelConfig> NamedModelConfigs();
 /// Shared cache of expensive experiment artifacts (DESIGN.md "Shared
 /// experiment state"). Every bench binary works from the same `data_dir`:
 /// the corpus is loaded (or live-built) once, and every trained model
-/// configuration is cached as `cache_model_<name>_<mode>.txt` (gitignored)
-/// so only the first binary pays the training cost.
+/// configuration is cached as `cache_model_<name>_<mode>_<fingerprint>.txt`
+/// (gitignored) so only the first binary pays the training cost. The
+/// fingerprint hashes every training input (see ModelCachePath), so a
+/// cache built from another corpus or config is a miss, never served.
 ///
 /// Training is bit-deterministic per configuration: the same corpus and
 /// config produce byte-identical cache files regardless of thread count or
@@ -91,9 +95,9 @@ class Workbench {
   /// The model of one named configuration, trained on the `train_filter`
   /// subset (null = !is_test) with `mode` features; `config` and
   /// `runs_limit` follow BuildTrainingMatrix. Trains on first use, caches
-  /// in memory and as cache_model_<name>_<mode>.txt under data_dir; later
-  /// calls (and processes) reuse the cache. The name must uniquely identify
-  /// the configuration — it is the cache key.
+  /// in memory and at ModelCachePath under data_dir; later calls (and
+  /// processes) reuse the cache. The name must uniquely identify the
+  /// train_filter, which the cache key cannot hash.
   const T3Model& GetModel(const std::string& name, CardinalityMode mode,
                           const RecordFilter& train_filter = nullptr,
                           const T3Config& config = T3Config(),
@@ -101,6 +105,15 @@ class Workbench {
 
   /// GetModel over a registry entry.
   const T3Model& GetModel(const NamedModelConfig& named);
+
+  /// The cache file GetModel reads and writes for one configuration:
+  /// data_dir/cache_model_<name>_<mode>_<fingerprint>.txt. The fingerprint
+  /// is an Fnv1a hash of the corpus content, the T3Config (TrainParams
+  /// included, after the T3_QUICK_TREES cap) and `runs_limit`. Loads the
+  /// corpus on first use.
+  std::string ModelCachePath(const std::string& name, CardinalityMode mode,
+                             const T3Config& config = T3Config(),
+                             int runs_limit = 0);
 
  private:
   // The *Locked variants require mu_ to be held; the public accessors are
@@ -111,6 +124,9 @@ class Workbench {
                                 CardinalityMode mode,
                                 const RecordFilter& train_filter,
                                 const T3Config& config, int runs_limit);
+  /// "<name>_<mode>_<fingerprint>": the in-memory and on-disk model key.
+  std::string ModelKeyLocked(const std::string& name, CardinalityMode mode,
+                             const T3Config& config, int runs_limit);
 
   std::string data_dir_;
   WorkbenchOptions options_;
@@ -118,6 +134,7 @@ class Workbench {
   mutable std::mutex mu_;  ///< Guards everything below.
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<Corpus> corpus_;
+  std::optional<uint64_t> corpus_fingerprint_;  ///< Fnv1a of CorpusToText.
   std::map<std::string, std::unique_ptr<T3Model>> models_;  // by cache key
 };
 

@@ -27,14 +27,6 @@ class ForestEvaluator {
   /// The default implementation loops over Predict.
   virtual void PredictBatch(const double* rows, size_t num_rows,
                             size_t num_features, double* out) const;
-
-  /// Predicts `num_rows` rows stored column-major (structure-of-arrays):
-  /// feature f of row i at `soa[f * num_rows + i]` — the layout batched
-  /// kernels consume without a transpose. The default implementation
-  /// gathers each row and loops over Predict. Implementations must stay
-  /// bit-identical to per-row Predict.
-  virtual void PredictBatchSoA(const double* soa, size_t num_rows,
-                               size_t num_features, double* out) const;
 };
 
 /// Node-pointer interpreter: walks Tree::nodes child indices directly.
@@ -56,41 +48,20 @@ class InterpretedEvaluator : public ForestEvaluator {
 /// structure-of-arrays node storage with absolute child indices — better
 /// locality than pointer chasing, still interpreted. Owns its flattened
 /// copy; independent of the source forest's lifetime.
-///
-/// The batched entry points walk up to 8 rows in lockstep through each
-/// tree: leaves self-loop (left == right == self), so every lane can take
-/// the tree's full max depth in fixed steps while the per-lane dependent
-/// loads interleave. Predictions stay bit-identical to per-row Predict —
-/// same predicate, same NaN routing, same summation order.
 class FlatEvaluator : public ForestEvaluator {
  public:
   explicit FlatEvaluator(const Forest& forest);
 
   double Predict(const double* row) const override;
-  void PredictBatch(const double* rows, size_t num_rows, size_t num_features,
-                    double* out) const override;
-  void PredictBatchSoA(const double* soa, size_t num_rows,
-                       size_t num_features, double* out) const override;
 
  private:
-  /// Rows walked in lockstep per block; matches the JIT kernels' width.
-  static constexpr size_t kBlockLanes = 8;
-
-  /// Walks `num_lanes` (<= kBlockLanes) rows through every tree.
-  /// `get(lane, feature)` reads one feature value — the only difference
-  /// between the row-major and column-major entry points.
-  template <typename GetFeature>
-  void PredictBlock(size_t num_lanes, const GetFeature& get,
-                    double* out) const;
-
   // One entry per node, parallel arrays (structure-of-arrays).
   std::vector<double> threshold_or_value_;  // Inner: threshold. Leaf: value.
   std::vector<int32_t> feature_;            // -1 marks a leaf.
-  std::vector<int32_t> left_;               // Leaf: self.
-  std::vector<int32_t> right_;              // Leaf: self.
+  std::vector<int32_t> left_;               // Leaf: -1.
+  std::vector<int32_t> right_;              // Leaf: -1.
   std::vector<uint8_t> default_left_;
   std::vector<int32_t> roots_;
-  std::vector<int32_t> tree_depth_;  // Max root-to-leaf edges per tree.
   double base_score_;
 };
 

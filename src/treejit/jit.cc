@@ -627,34 +627,6 @@ void CompiledForest::PredictBatch(const double* rows, size_t num_rows,
   for (; i < num_rows; ++i) out[i] = Predict(rows + i * num_features);
 }
 
-void CompiledForest::PredictBatchSoA(const double* soa, size_t num_rows,
-                                     size_t num_features, double* out) const {
-  if (batch_fns_.empty() || !BatchKernelsEnabled() ||
-      num_features != static_cast<size_t>(num_features_) || num_rows < 8) {
-    ForestEvaluator::PredictBatchSoA(soa, num_rows, num_features, out);
-    return;
-  }
-  // Column-major input matches the block layout directly: each feature's 8
-  // lanes are one contiguous copy instead of an 8-row transpose.
-  std::vector<double> block(num_features * 8);
-  size_t i = 0;
-  for (; i + 8 <= num_rows; i += 8) {
-    for (size_t f = 0; f < num_features; ++f) {
-      std::memcpy(&block[f * 8], soa + f * num_rows + i, 8 * sizeof(double));
-    }
-    double* acc = out + i;
-    for (size_t r = 0; r < 8; ++r) acc[r] = base_score_;
-    for (const BatchFn fn : batch_fns_) fn(block.data(), acc);
-  }
-  if (i < num_rows) {
-    std::vector<double> row(num_features);
-    for (; i < num_rows; ++i) {
-      for (size_t f = 0; f < num_features; ++f) row[f] = soa[f * num_rows + i];
-      out[i] = Predict(row.data());
-    }
-  }
-}
-
 #else  // !T3_JIT_X86_64
 
 // Portability guard: on non-x86-64 hosts (or without mmap) compilation
@@ -682,11 +654,6 @@ double CompiledForest::Predict(const double*) const { return base_score_; }
 void CompiledForest::PredictBatch(const double*, size_t, size_t,
                                   double* out) const {
   *out = base_score_;
-}
-
-void CompiledForest::PredictBatchSoA(const double* soa, size_t num_rows,
-                                     size_t num_features, double* out) const {
-  ForestEvaluator::PredictBatchSoA(soa, num_rows, num_features, out);
 }
 
 #endif  // T3_JIT_X86_64

@@ -1,9 +1,8 @@
-#include <sys/stat.h>
-
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -256,7 +255,7 @@ TEST(EvaluateTest, TrainedModelBeatsTrivialBaselineOnTrainSet) {
   ASSERT_TRUE(forest.ok()) << forest.status().ToString();
   const T3Model model(*std::move(forest), PredictionTarget::kPerTuple);
 
-  const QErrorSummary summary = Summarize(QErrors(model, records));
+  const QErrorSummary summary = Summarize(EvaluateModel(model, records));
   EXPECT_LT(summary.p50, 2.0);
 
   std::vector<double> medians;
@@ -277,24 +276,12 @@ std::string MiniCorpusPath() {
   return std::string(T3_SOURCE_DIR) + "/data/corpus_mini.txt";
 }
 
-const char* ModeSuffix(CardinalityMode mode) {
-  return mode == CardinalityMode::kTrue ? "true" : "est";
-}
-
-std::string CacheModelPath(const std::string& data_dir,
-                           const std::string& name, CardinalityMode mode) {
-  return data_dir + "/cache_model_" + name + "_" + ModeSuffix(mode) + ".txt";
-}
-
 /// A fresh (per test-case) scratch data_dir with no stale model caches, so
 /// every GetModel call below provably trains rather than reloads.
 std::string MakeScratchDataDir(const std::string& name) {
   const std::string dir = testing::TempDir() + "/t3_harness_" + name;
-  ::mkdir(dir.c_str(), 0755);
-  for (const NamedModelConfig& named : NamedModelConfigs()) {
-    std::remove(CacheModelPath(dir, named.name, named.mode).c_str());
-  }
-  std::remove(CacheModelPath(dir, "golden", CardinalityMode::kTrue).c_str());
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
   return dir;
 }
 
@@ -321,8 +308,8 @@ TEST(WorkbenchTest, GetModelCachesEveryNamedConfigBitExactly) {
 
     // The cache file exists and reloads into a forest that ForestDiff
     // proves pointwise identical over the entire input space.
-    const std::string cache_path =
-        CacheModelPath(dir, named.name, named.mode);
+    const std::string cache_path = workbench.ModelCachePath(
+        named.name, named.mode, named.config, named.runs_limit);
     Result<T3Model> reloaded = T3Model::LoadFromFile(cache_path);
     ASSERT_TRUE(reloaded.ok())
         << named.name << ": " << reloaded.status().ToString();
@@ -346,7 +333,7 @@ TEST(WorkbenchTest, SecondWorkbenchServesTheCacheFileUnchanged) {
   const T3Model& trained =
       first.GetModel("main", CardinalityMode::kTrue, nullptr, config);
   const std::string cache_path =
-      CacheModelPath(dir, "main", CardinalityMode::kTrue);
+      first.ModelCachePath("main", CardinalityMode::kTrue, config);
   Result<std::string> bytes = ReadFileToString(cache_path);
   ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
 
@@ -380,7 +367,7 @@ TEST(WorkbenchTest, TrainingIsByteDeterministicAcrossThreadCounts) {
     Workbench workbench(dir, MiniCorpusOptions(thread_counts[i]));
     workbench.GetModel("main", CardinalityMode::kTrue, nullptr, config);
     Result<std::string> bytes = ReadFileToString(
-        CacheModelPath(dir, "main", CardinalityMode::kTrue));
+        workbench.ModelCachePath("main", CardinalityMode::kTrue, config));
     ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
     ASSERT_FALSE(bytes->empty());
     if (i == 0) {
@@ -433,12 +420,6 @@ TEST(WorkbenchTest, GetModelIsThreadSafeUnderConcurrentCallers) {
   }
   EXPECT_EQ(others[0]->target(), PredictionTarget::kPerTuple);
   EXPECT_EQ(others[1]->target(), PredictionTarget::kPerPipeline);
-
-  // The scratch-dir hygiene of MakeScratchDataDir only clears registry
-  // names; clear this test's extra cache files for the next run.
-  std::remove(CacheModelPath(dir, "conc_a", CardinalityMode::kTrue).c_str());
-  std::remove(CacheModelPath(dir, "conc_b", CardinalityMode::kTrue).c_str());
-  std::remove(CacheModelPath(dir, "main", CardinalityMode::kTrue).c_str());
 }
 
 TEST(WorkbenchTest, CorruptCacheIsRejectedAndRetrained) {
@@ -459,13 +440,13 @@ TEST(WorkbenchTest, CorruptCacheIsRejectedAndRetrained) {
       << direct.status().ToString();
 
   const std::string dir = MakeScratchDataDir("corrupt_cache");
-  const std::string cache_path =
-      CacheModelPath(dir, "main", CardinalityMode::kTrue);
-  ASSERT_TRUE(WriteStringToFile(cache_path, *corrupt).ok());
-
   T3Config config;
   config.train.num_trees = 10;
   Workbench workbench(dir, MiniCorpusOptions());
+  const std::string cache_path =
+      workbench.ModelCachePath("main", CardinalityMode::kTrue, config);
+  ASSERT_TRUE(WriteStringToFile(cache_path, *corrupt).ok());
+
   const T3Model& model =
       workbench.GetModel("main", CardinalityMode::kTrue, nullptr, config);
   // The served model is a real retrained forest, not the planted stub...
@@ -477,6 +458,57 @@ TEST(WorkbenchTest, CorruptCacheIsRejectedAndRetrained) {
       ForestDiff(model.forest(), reloaded->forest());
   ASSERT_TRUE(drift.ok());
   EXPECT_EQ(drift->MaxAbs(), 0.0);
+}
+
+TEST(WorkbenchTest, CacheFromOtherCorpusOrTreeCapIsNotServed) {
+  // Regression: the cache file was keyed on name + mode only, so a 1-tree
+  // model cached by a T3_QUICK_TREES run on one corpus was later served,
+  // unchanged, for the full config on another corpus.
+  const std::string dir = MakeScratchDataDir("corpus_swap");
+  T3Config config;
+  config.train.num_trees = 10;
+  config.train.validation_fraction = 0.0;  // Keep all 10 trees.
+
+  // A second corpus: the mini corpus without its last record.
+  Corpus smaller = TestCorpus();
+  smaller.records.pop_back();
+  const std::string smaller_path = dir + "/corpus_smaller.txt";
+  ASSERT_TRUE(SaveCorpusToFile(smaller, smaller_path).ok());
+
+  WorkbenchOptions mini = MiniCorpusOptions();
+  ::setenv("T3_QUICK_TREES", "1", 1);
+  Workbench quick(dir, mini);
+  const T3Model& capped =
+      quick.GetModel("main", CardinalityMode::kTrue, nullptr, config);
+  const std::string capped_path =
+      quick.ModelCachePath("main", CardinalityMode::kTrue, config);
+  ::unsetenv("T3_QUICK_TREES");
+  EXPECT_EQ(capped.forest().trees.size(), 1u);
+  Result<std::string> capped_bytes = ReadFileToString(capped_path);
+  ASSERT_TRUE(capped_bytes.ok()) << capped_bytes.status().ToString();
+
+  // Same data dir, name and mode, no cap, another corpus: a cache miss,
+  // so the model is retrained and cached under its own key.
+  WorkbenchOptions other = mini;
+  other.corpus_path = smaller_path;
+  Workbench full(dir, other);
+  const std::string full_path =
+      full.ModelCachePath("main", CardinalityMode::kTrue, config);
+  EXPECT_NE(full_path, capped_path);
+  EXPECT_FALSE(std::filesystem::exists(full_path));
+  const T3Model& retrained =
+      full.GetModel("main", CardinalityMode::kTrue, nullptr, config);
+  EXPECT_EQ(retrained.forest().trees.size(), 10u);
+  EXPECT_TRUE(std::filesystem::exists(full_path));
+
+  // The first cache is left as it was, and the mini corpus without the cap
+  // keys yet another file.
+  Result<std::string> capped_after = ReadFileToString(capped_path);
+  ASSERT_TRUE(capped_after.ok());
+  EXPECT_EQ(*capped_after, *capped_bytes);
+  Workbench uncapped(dir, mini);
+  EXPECT_NE(uncapped.ModelCachePath("main", CardinalityMode::kTrue, config),
+            capped_path);
 }
 
 TEST(EvaluateTest, EvaluateModelMatchesGoldenFixture) {
@@ -525,7 +557,7 @@ TEST(EvaluateTest, EvaluateModelMatchesGoldenFixture) {
          "T3_UPDATE_GOLDEN=1.";
 }
 
-TEST(EvaluateTest, QErrorsOfEvaluationsMatchesDirectQErrors) {
+TEST(EvaluateTest, EvaluateModelMatchesPerRecordReference) {
   T3_REQUIRE_CORPUS();
   std::vector<const QueryRecord*> records;
   for (const QueryRecord& record : corpus.records) records.push_back(&record);
@@ -550,15 +582,16 @@ TEST(EvaluateTest, QErrorsOfEvaluationsMatchesDirectQErrors) {
   ASSERT_TRUE(forest.ok()) << forest.status().ToString();
   const T3Model model(*std::move(forest), PredictionTarget::kPerTuple);
 
-  // EvaluateModel is the structured view of the QErrors scalar path: same
-  // records, same numbers, bit for bit.
+  // Each evaluation is the per-record reference, bit for bit: the
+  // PredictQuerySeconds prediction and its q-error against the median.
   const std::vector<RecordEvaluation> evals = EvaluateModel(model, records);
-  const std::vector<double> direct = QErrors(model, records);
-  ASSERT_EQ(evals.size(), direct.size());
+  ASSERT_EQ(evals.size(), records.size());
   for (size_t i = 0; i < evals.size(); ++i) {
-    EXPECT_EQ(evals[i].q_error, direct[i]);
+    const double predicted = PredictQuerySeconds(model, *records[i]);
     EXPECT_EQ(evals[i].record, records[i]);
+    EXPECT_EQ(evals[i].predicted_seconds, predicted);
     EXPECT_EQ(evals[i].actual_seconds, records[i]->median_seconds);
+    EXPECT_EQ(evals[i].q_error, QError(predicted, records[i]->median_seconds));
   }
   const QErrorSummary from_evals = Summarize(evals);
   const QErrorSummary from_errors = Summarize(QErrors(evals));

@@ -4,11 +4,16 @@
 // prove plan building, pipeline decomposition, and execution work end to end.
 //
 //   t3_explain <instance> [--seed N] [--scale X] [--query QUERY]
+//              [--emit-plan PATH]
 //
 // QUERY picks the canned plan shape:
 //   agg   (default) — scan largest table -> filter -> group-by aggregate
 //   join            — fact scan -> FK hash join -> global count
 //   sort            — scan largest table -> sort -> limit 10
+//
+// --emit-plan also writes the stage-annotated plan to PATH as "t3plan v1"
+// text; the golden fixtures data/plan_{agg,join}_golden.txt are
+// regenerated with it (tpch_sf0, default and --query join).
 //
 // Exit status: 0 success, 1 execution error, 2 usage error.
 
@@ -23,8 +28,10 @@
 #include "datagen/generator.h"
 #include "datagen/spec.h"
 #include "engine/executor.h"
+#include "gbt/forest.h"  // WriteStringToFile
 #include "plan/pipeline.h"
 #include "plan/plan.h"
+#include "plan/plan_file.h"
 #include "storage/catalog.h"
 
 namespace t3 {
@@ -33,13 +40,14 @@ namespace {
 int Usage() {
   std::fprintf(stderr,
                "usage: t3_explain <instance> [--seed N] [--scale X] "
-               "[--query agg|join|sort]\n");
+               "[--query agg|join|sort] [--emit-plan PATH]\n");
   return 2;
 }
 
 struct Args {
   std::string instance;
   std::string query = "agg";
+  std::string emit_plan;  // Empty = do not write the plan.
   uint64_t seed = 42;
   double scale = 0.0;  // 0 = the instance's own scale.
 };
@@ -68,6 +76,13 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       if (args->query != "agg" && args->query != "join" &&
           args->query != "sort") {
         return CliError(kTool, "--query", "must be one of: agg, join, sort");
+      }
+    } else if (arg == "--emit-plan") {
+      if (!CliValue(kTool, argc, argv, &i, "--emit-plan", &args->emit_plan)) {
+        return false;
+      }
+      if (args->emit_plan.empty()) {
+        return CliError(kTool, "--emit-plan", "requires a non-empty path");
       }
     } else {
       return CliError(kTool, arg.c_str(), "is not a recognized argument");
@@ -197,6 +212,15 @@ int Run(const Args& args) {
     return 1;
   }
   std::printf("%s\n", DecompositionToString(*plan, *decomposition).c_str());
+  if (!args.emit_plan.empty()) {
+    AnnotatePipelineStages(&*plan, *decomposition);
+    const Status written = WriteStringToFile(
+        args.emit_plan, PlanRecordsToText(PlanToRecords(*plan)));
+    if (!written.ok()) {
+      std::fprintf(stderr, "t3_explain: %s\n", written.ToString().c_str());
+      return 1;
+    }
+  }
 
   const Executor executor(*catalog);
   Result<ExplainAnalyze> run = executor.Execute(*plan);
