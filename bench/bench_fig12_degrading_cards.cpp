@@ -4,6 +4,7 @@
 
 #include "baselines/zeroshot.h"
 #include "bench_util.h"
+#include "common/text_format.h"
 #include "plan/cardinality.h"
 
 namespace t3 {

@@ -9,6 +9,7 @@
 #include "baselines/zeroshot.h"
 #include "bench_util.h"
 #include "common/random.h"
+#include "common/text_format.h"
 
 namespace t3 {
 namespace {

@@ -1,10 +1,10 @@
 #include "common/string_util.h"
 
-#include <cerrno>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
+
+#include "common/text_format.h"
 
 namespace t3 {
 
@@ -55,42 +55,34 @@ std::string_view StripAsciiWhitespace(std::string_view text) {
   return text;
 }
 
-bool ParseDouble(std::string_view text, double* out) {
-  if (text.empty()) return false;
-  // strto* needs NUL termination; CLI args and corpus tokens are short, so
-  // the copy is cheap.
-  const std::string buffer(text);
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(buffer.c_str(), &end);
-  if (end != buffer.c_str() + buffer.size() || errno == ERANGE ||
-      !std::isfinite(value)) {
+namespace {
+
+/// Whole-string parse through TextReader: no surrounding whitespace, one
+/// number, nothing after it. `*out` is written only on success.
+template <typename T>
+bool ParseWhole(std::string_view text, T* out, bool (TextReader::*read)(T*)) {
+  if (text.empty() || StripAsciiWhitespace(text).size() != text.size()) {
     return false;
   }
+  TextReader reader(text);
+  T value{};
+  if (!(reader.*read)(&value) || !reader.AtEnd()) return false;
   *out = value;
   return true;
+}
+
+}  // namespace
+
+bool ParseDouble(std::string_view text, double* out) {
+  return ParseWhole(text, out, &TextReader::FiniteDouble);
 }
 
 bool ParseInt64(std::string_view text, int64_t* out) {
-  if (text.empty()) return false;
-  const std::string buffer(text);
-  errno = 0;
-  char* end = nullptr;
-  const long long value = std::strtoll(buffer.c_str(), &end, 10);
-  if (end != buffer.c_str() + buffer.size() || errno == ERANGE) return false;
-  *out = value;
-  return true;
+  return ParseWhole(text, out, &TextReader::Int<int64_t>);
 }
 
 bool ParseUint64(std::string_view text, uint64_t* out) {
-  if (text.empty() || text.front() == '-') return false;
-  const std::string buffer(text);
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(buffer.c_str(), &end, 10);
-  if (end != buffer.c_str() + buffer.size() || errno == ERANGE) return false;
-  *out = value;
-  return true;
+  return ParseWhole(text, out, &TextReader::Int<uint64_t>);
 }
 
 std::string FormatDuration(double nanos) {

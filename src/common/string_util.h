@@ -23,7 +23,8 @@ std::string_view StripAsciiWhitespace(std::string_view text);
 std::string FormatDuration(double nanos);
 
 /// Strict whole-string numeric parsing for untrusted text (CLI arguments,
-/// corpus files). The entire text must be consumed — empty strings, trailing
+/// header values), on TextReader (common/text_format.h). The entire text
+/// must be one number — empty strings, surrounding whitespace, trailing
 /// characters, and out-of-range values fail — and ParseDouble additionally
 /// rejects non-finite results ("inf", "nan", overflow). On failure, returns
 /// false and leaves *out untouched.

@@ -1,11 +1,7 @@
 #include "gbt/forest.h"
 
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-
 #include "common/string_util.h"
+#include "common/text_format.h"
 
 namespace t3 {
 
@@ -51,79 +47,13 @@ std::vector<int> FeatureSplitCounts(const Forest& forest) {
   return counts;
 }
 
-namespace {
-
-void AppendDouble(std::string* out, double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  out->append(buffer);
-}
-
-/// Whitespace-separated token reader over the raw file contents. Faster and
-/// less allocation-happy than istringstream on the ~12k-line model files and
-/// the ~200k-line corpus.
-class TokenCursor {
- public:
-  explicit TokenCursor(std::string_view text) : pos_(text.data()), end_(text.data() + text.size()) {}
-
-  bool AtEnd() {
-    SkipSpace();
-    return pos_ == end_;
-  }
-
-  /// Next whitespace-delimited token; empty at end of input.
-  std::string_view NextToken() {
-    SkipSpace();
-    const char* start = pos_;
-    while (pos_ != end_ && !IsSpace(*pos_)) ++pos_;
-    return std::string_view(start, static_cast<size_t>(pos_ - start));
-  }
-
-  bool NextDouble(double* out) {
-    SkipSpace();
-    if (pos_ == end_) return false;
-    char* after = nullptr;
-    errno = 0;
-    *out = std::strtod(pos_, &after);
-    if (after == pos_) return false;
-    pos_ = after;
-    return true;
-  }
-
-  bool NextInt(int64_t* out) {
-    SkipSpace();
-    if (pos_ == end_) return false;
-    char* after = nullptr;
-    errno = 0;
-    *out = std::strtoll(pos_, &after, 10);
-    if (after == pos_) return false;
-    pos_ = after;
-    return true;
-  }
-
- private:
-  static bool IsSpace(char c) {
-    return c == ' ' || c == '\t' || c == '\n' || c == '\r';
-  }
-  void SkipSpace() {
-    while (pos_ != end_ && IsSpace(*pos_)) ++pos_;
-  }
-
-  // strtod/strtoll need NUL-terminated input; callers keep the backing
-  // string alive and it is always NUL-terminated (std::string::data()).
-  const char* pos_;
-  const char* end_;
-};
-
-}  // namespace
-
 std::string Forest::ToText() const {
   std::string out;
   out.reserve(64 + NumNodes() * 48);
   out += "t3gbt v1\n";
   out += StrFormat("num_features %d\n", num_features);
   out += "base_score ";
-  AppendDouble(&out, base_score);
+  AppendExactDouble(&out, base_score);
   out += "\n";
   out += StrFormat("num_trees %zu\n", trees.size());
   for (const Tree& tree : trees) {
@@ -131,11 +61,11 @@ std::string Forest::ToText() const {
     for (const TreeNode& node : tree.nodes) {
       if (node.is_leaf) {
         out += "1 -1 0 -1 -1 ";
-        AppendDouble(&out, node.value);
+        AppendExactDouble(&out, node.value);
       } else {
         out += "0 ";
         out += StrFormat("%d ", node.feature);
-        AppendDouble(&out, node.threshold);
+        AppendExactDouble(&out, node.threshold);
         out += StrFormat(" %d %d %d", node.left, node.right,
                          node.default_left ? 1 : 0);
       }
@@ -154,79 +84,67 @@ Result<Forest> Forest::FromText(std::string_view text) {
 }
 
 Result<Forest> Forest::ParseTextUnvalidated(std::string_view text) {
-  TokenCursor cursor(text);
-  std::string_view token = cursor.NextToken();
+  TextReader reader(text);
+  std::string_view token = reader.Token();
   // Model files wrap the forest with a one-line T3 model header; skip it so
   // Forest::LoadFromFile works on data/model_*.txt directly.
   if (token == "t3model") {
-    if (cursor.NextToken() != "target") {
+    if (reader.Token() != "target") {
       return InvalidArgumentError("t3model header: expected 'target'");
     }
     int64_t ignored = 0;
-    if (!cursor.NextInt(&ignored)) {
+    if (!reader.Int(&ignored)) {
       return InvalidArgumentError("t3model header: missing target id");
     }
-    token = cursor.NextToken();
+    token = reader.Token();
   }
-  if (token != "t3gbt" || cursor.NextToken() != "v1") {
+  if (token != "t3gbt" || reader.Token() != "v1") {
     return InvalidArgumentError("not a t3gbt v1 forest file");
   }
 
   Forest forest;
-  int64_t num_trees = 0;
-  if (cursor.NextToken() != "num_features") {
+  if (reader.Token() != "num_features") {
     return InvalidArgumentError("expected num_features");
   }
-  int64_t num_features = 0;
-  if (!cursor.NextInt(&num_features) || num_features <= 0) {
+  if (!reader.Int(&forest.num_features) || forest.num_features <= 0) {
     return InvalidArgumentError("bad num_features");
   }
-  forest.num_features = static_cast<int>(num_features);
-  if (cursor.NextToken() != "base_score" ||
-      !cursor.NextDouble(&forest.base_score)) {
+  if (reader.Token() != "base_score" || !reader.Double(&forest.base_score)) {
     return InvalidArgumentError("bad base_score");
   }
-  if (cursor.NextToken() != "num_trees" || !cursor.NextInt(&num_trees) ||
-      num_trees < 0) {
+  size_t num_trees = 0;
+  if (reader.Token() != "num_trees" || !reader.Count(&num_trees)) {
     return InvalidArgumentError("bad num_trees");
   }
 
-  forest.trees.reserve(static_cast<size_t>(num_trees));
-  for (int64_t t = 0; t < num_trees; ++t) {
-    if (cursor.NextToken() != "tree") {
-      return InvalidArgumentError(StrFormat("tree %lld: missing header",
-                                            static_cast<long long>(t)));
+  forest.trees.reserve(num_trees);
+  for (size_t t = 0; t < num_trees; ++t) {
+    if (reader.Token() != "tree") {
+      return InvalidArgumentError(StrFormat("tree %zu: missing header", t));
     }
-    int64_t num_nodes = 0;
-    if (!cursor.NextInt(&num_nodes) || num_nodes <= 0) {
-      return InvalidArgumentError(StrFormat("tree %lld: bad node count",
-                                            static_cast<long long>(t)));
+    size_t num_nodes = 0;
+    if (!reader.Count(&num_nodes) || num_nodes == 0) {
+      return InvalidArgumentError(StrFormat("tree %zu: bad node count", t));
     }
     Tree tree;
-    tree.nodes.resize(static_cast<size_t>(num_nodes));
-    for (int64_t n = 0; n < num_nodes; ++n) {
-      TreeNode& node = tree.nodes[static_cast<size_t>(n)];
-      int64_t is_leaf = 0, feature = 0, left = 0, right = 0;
-      double threshold = 0;
-      if (!cursor.NextInt(&is_leaf) || !cursor.NextInt(&feature) ||
-          !cursor.NextDouble(&threshold) || !cursor.NextInt(&left) ||
-          !cursor.NextInt(&right)) {
+    tree.nodes.resize(num_nodes);
+    for (size_t n = 0; n < num_nodes; ++n) {
+      TreeNode& node = tree.nodes[n];
+      int64_t is_leaf = 0;
+      if (!reader.Int(&is_leaf) || !reader.Int(&node.feature) ||
+          !reader.Double(&node.threshold) || !reader.Int(&node.left) ||
+          !reader.Int(&node.right)) {
         return InvalidArgumentError(
-            StrFormat("tree %lld node %lld: malformed",
-                      static_cast<long long>(t), static_cast<long long>(n)));
+            StrFormat("tree %zu node %zu: malformed", t, n));
       }
       node.is_leaf = is_leaf != 0;
-      node.feature = static_cast<int>(feature);
-      node.threshold = threshold;
-      node.left = static_cast<int>(left);
-      node.right = static_cast<int>(right);
       if (node.is_leaf) {
-        if (!cursor.NextDouble(&node.value)) {
+        if (!reader.Double(&node.value)) {
           return InvalidArgumentError("leaf: missing value");
         }
       } else {
         int64_t default_left = 0;
-        if (!cursor.NextInt(&default_left)) {
+        if (!reader.Int(&default_left)) {
           return InvalidArgumentError("inner node: missing default_left");
         }
         node.default_left = default_left != 0;
@@ -234,7 +152,7 @@ Result<Forest> Forest::ParseTextUnvalidated(std::string_view text) {
     }
     forest.trees.push_back(std::move(tree));
   }
-  if (!cursor.AtEnd()) {
+  if (!reader.AtEnd()) {
     return InvalidArgumentError("trailing data after the last tree");
   }
   return forest;
@@ -314,40 +232,6 @@ Result<Forest> Forest::LoadFromFile(const std::string& path) {
   Result<std::string> content = ReadFileToString(path);
   if (!content.ok()) return content.status();
   return FromText(*content);
-}
-
-Result<std::string> ReadFileToString(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    return NotFoundError(StrFormat("cannot open %s: %s", path.c_str(),
-                                   std::strerror(errno)));
-  }
-  std::string content;
-  char buffer[1 << 16];
-  size_t read = 0;
-  while ((read = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
-    content.append(buffer, read);
-  }
-  const bool failed = std::ferror(file) != 0;
-  std::fclose(file);
-  if (failed) {
-    return UnavailableError(StrFormat("read error on %s", path.c_str()));
-  }
-  return content;
-}
-
-Status WriteStringToFile(const std::string& path, std::string_view content) {
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) {
-    return UnavailableError(StrFormat("cannot create %s: %s", path.c_str(),
-                                      std::strerror(errno)));
-  }
-  const size_t written = std::fwrite(content.data(), 1, content.size(), file);
-  const bool failed = std::fclose(file) != 0 || written != content.size();
-  if (failed) {
-    return UnavailableError(StrFormat("write error on %s", path.c_str()));
-  }
-  return Status::OK();
 }
 
 }  // namespace t3

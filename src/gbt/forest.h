@@ -101,13 +101,6 @@ struct Forest {
 /// bench ranks features by (LightGBM's "split" importance).
 std::vector<int> FeatureSplitCounts(const Forest& forest);
 
-/// Reads a whole file; NotFound/Unavailable on error. Shared by forest,
-/// model, and corpus loaders.
-Result<std::string> ReadFileToString(const std::string& path);
-
-/// Writes (truncates) a whole file.
-Status WriteStringToFile(const std::string& path, std::string_view content);
-
 }  // namespace t3
 
 #endif  // T3_GBT_FOREST_H_

@@ -1,109 +1,37 @@
 #include "harness/corpus.h"
 
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-
 #include "common/string_util.h"
-#include "gbt/forest.h"  // ReadFileToString / WriteStringToFile
+#include "common/text_format.h"
+#include "plan/plan_file.h"
 
 namespace t3 {
 namespace {
 
-/// Pointer-walking token reader; the corpus fixture is ~200k lines, so this
-/// avoids per-line istringstream overhead. The backing string outlives the
-/// cursor and is NUL-terminated, which strtod/strtoll rely on.
-struct Cursor {
-  const char* pos;
-  const char* end;
-  int line = 1;  ///< 1-based line of `pos`, for parse diagnostics.
-
-  explicit Cursor(std::string_view text)
-      : pos(text.data()), end(text.data() + text.size()) {}
-
-  static bool IsSpace(char c) {
-    return c == ' ' || c == '\t' || c == '\n' || c == '\r';
-  }
-  void SkipSpace() {
-    while (pos != end && IsSpace(*pos)) {
-      if (*pos == '\n') ++line;
-      ++pos;
-    }
-  }
-  bool AtEnd() {
-    SkipSpace();
-    return pos == end;
-  }
-  std::string_view Token() {
-    SkipSpace();
-    const char* start = pos;
-    while (pos != end && !IsSpace(*pos) && *pos != ':') ++pos;
-    return std::string_view(start, static_cast<size_t>(pos - start));
-  }
-  /// Rejects non-finite values: measured seconds, cardinalities, widths and
-  /// features are all finite by construction, so "inf"/"nan"/overflow in a
-  /// corpus is corruption, and letting it through would poison every
-  /// statistic downstream (median of {1.0, nan} is nan).
-  bool Double(double* out) {
-    SkipSpace();
-    char* after = nullptr;
-    *out = std::strtod(pos, &after);
-    if (after == pos || !std::isfinite(*out)) return false;
-    pos = after;
-    return true;
-  }
-  bool Int(int64_t* out) {
-    SkipSpace();
-    char* after = nullptr;
-    *out = std::strtoll(pos, &after, 10);
-    if (after == pos) return false;
-    pos = after;
-    return true;
-  }
-  bool Literal(char c) {
-    if (pos != end && *pos == c) {
-      ++pos;
-      return true;
-    }
-    return false;
-  }
-};
-
 /// "<path> line 42: <what>" — every parse failure names the source file
 /// (when known) and the line it was detected on; the same prefix
 /// CorpusAuditor uses for post-parse findings.
-Status ParseError(const std::string& path, const Cursor& cursor,
+Status ParseError(const std::string& path, const TextReader& reader,
                   const char* what) {
-  return InvalidArgumentError(CorpusMessagePrefix(path, cursor.line) + what);
+  return InvalidArgumentError(CorpusMessagePrefix(path, reader.line()) + what);
 }
 
-void AppendDouble(std::string* out, double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  out->append(buffer);
-}
-
-Status ParsePipelineFeatures(const std::string& path, Cursor* cursor,
+Status ParsePipelineFeatures(const std::string& path, TextReader* reader,
                              PipelineFeatures* features) {
-  int64_t pipeline = 0, dim = 0, nnz = 0;
-  double card = 0;
-  if (!cursor->Int(&pipeline) || !cursor->Double(&card) ||
-      !cursor->Int(&dim) || !cursor->Int(&nnz) || dim <= 0 || nnz < 0 ||
-      nnz > dim) {
-    return ParseError(path, *cursor, "malformed feature line header");
+  size_t dim = 0, nnz = 0;
+  if (!reader->Int(&features->pipeline) ||
+      !reader->FiniteDouble(&features->input_cardinality) || !reader->Count(&dim) ||
+      !reader->Count(&nnz) || dim == 0 || nnz > dim) {
+    return ParseError(path, *reader, "malformed feature line header");
   }
-  features->pipeline = static_cast<int>(pipeline);
-  features->input_cardinality = card;
-  features->values.assign(static_cast<size_t>(dim), 0.0);
-  for (int64_t i = 0; i < nnz; ++i) {
-    int64_t index = 0;
+  features->values.assign(dim, 0.0);
+  for (size_t i = 0; i < nnz; ++i) {
+    size_t index = 0;
     double value = 0;
-    if (!cursor->Int(&index) || !cursor->Literal(':') ||
-        !cursor->Double(&value) || index < 0 || index >= dim) {
-      return ParseError(path, *cursor, "malformed sparse feature pair");
+    if (!reader->Int(&index) || !reader->Literal(':') ||
+        !reader->FiniteDouble(&value) || index >= dim) {
+      return ParseError(path, *reader, "malformed sparse feature pair");
     }
-    features->values[static_cast<size_t>(index)] = value;
+    features->values[index] = value;
   }
   return Status::OK();
 }
@@ -113,12 +41,12 @@ void AppendPipelineFeatures(std::string* out, const char* tag,
   size_t nnz = 0;
   for (double v : features.values) nnz += v != 0.0 ? 1 : 0;
   out->append(StrFormat("%s %d ", tag, features.pipeline));
-  AppendDouble(out, features.input_cardinality);
+  AppendExactDouble(out, features.input_cardinality);
   out->append(StrFormat(" %zu %zu", features.values.size(), nnz));
   for (size_t i = 0; i < features.values.size(); ++i) {
     if (features.values[i] == 0.0) continue;
     out->append(StrFormat(" %zu:", i));
-    AppendDouble(out, features.values[i]);
+    AppendExactDouble(out, features.values[i]);
   }
   out->push_back('\n');
 }
@@ -132,105 +60,87 @@ size_t Corpus::NumPipelines() const {
 }
 
 Result<Corpus> ParseCorpus(std::string_view text, const std::string& path) {
-  Cursor cursor(text);
-  if (cursor.Token() != "t3corpus" || cursor.Token() != "v1") {
+  TextReader reader(text);
+  if (reader.Token() != "t3corpus" || reader.Token() != "v1") {
     return InvalidArgumentError(CorpusMessagePrefix(path, 0) +
                                 "not a t3corpus v1 file");
   }
-  int64_t num_records = 0;
-  if (cursor.Token() != "records" || !cursor.Int(&num_records) ||
-      num_records < 0) {
-    return ParseError(path, cursor, "bad record count");
+  size_t num_records = 0;
+  if (reader.Token() != "records" || !reader.Count(&num_records)) {
+    return ParseError(path, reader, "bad record count");
   }
 
   Corpus corpus;
-  corpus.records.reserve(static_cast<size_t>(num_records));
-  for (int64_t rec = 0; rec < num_records; ++rec) {
-    if (cursor.Token() != "R") {
-      return InvalidArgumentError(
-          CorpusMessagePrefix(path, cursor.line) +
-          StrFormat("record %lld: expected R line",
-                    static_cast<long long>(rec)));
+  corpus.records.reserve(num_records);
+  for (size_t rec = 0; rec < num_records; ++rec) {
+    if (reader.Token() != "R") {
+      return InvalidArgumentError(CorpusMessagePrefix(path, reader.line()) +
+                                  StrFormat("record %zu: expected R line", rec));
     }
     QueryRecord record;
-    record.source_line = cursor.line;
-    record.instance = std::string(cursor.Token());
-    int64_t is_test = 0, scale = 0, group = 0, fixed = 0;
-    int64_t num_pipelines = 0, runs = 0, num_nodes = 0;
-    if (record.instance.empty() || !cursor.Int(&is_test) ||
-        !cursor.Int(&scale) || !cursor.Int(&group) || !cursor.Int(&fixed) ||
-        !cursor.Int(&num_pipelines) || !cursor.Int(&runs) ||
-        !cursor.Int(&num_nodes) || !cursor.Double(&record.median_seconds) ||
-        num_pipelines < 0 || runs < 0 || num_nodes < 0) {
-      return InvalidArgumentError(
-          CorpusMessagePrefix(path, cursor.line) +
-          StrFormat("record %lld: malformed R line",
-                    static_cast<long long>(rec)));
+    record.source_line = reader.line();
+    record.instance = std::string(reader.Token());
+    int64_t is_test = 0, fixed = 0;
+    size_t num_pipelines = 0, runs = 0, num_nodes = 0;
+    if (record.instance.empty() || !reader.Int(&is_test) ||
+        !reader.Int(&record.scale_index) || !reader.Int(&record.structure_group) ||
+        !reader.Int(&fixed) || !reader.Count(&num_pipelines) || !reader.Count(&runs) ||
+        !reader.Count(&num_nodes) || !reader.FiniteDouble(&record.median_seconds)) {
+      return InvalidArgumentError(CorpusMessagePrefix(path, reader.line()) +
+                                  StrFormat("record %zu: malformed R line", rec));
     }
     record.is_test = is_test != 0;
-    record.scale_index = static_cast<int>(scale);
-    record.structure_group = static_cast<int>(group);
     record.fixed_suite = fixed != 0;
     record.runs = static_cast<int>(runs);
 
-    record.plan_nodes.resize(static_cast<size_t>(num_nodes));
+    record.plan_nodes.resize(num_nodes);
     for (PlanNodeRecord& node : record.plan_nodes) {
-      int64_t op = 0, left = 0, right = 0, stage = 0;
-      if (cursor.Token() != "N" || !cursor.Int(&op) || !cursor.Int(&left) ||
-          !cursor.Int(&right) || !cursor.Double(&node.cardinality) ||
-          !cursor.Double(&node.extra) || !cursor.Double(&node.width) ||
-          !cursor.Int(&stage)) {
-        return ParseError(path, cursor, "malformed N line");
+      if (!ReadPlanNodeRow(&reader, &node)) {
+        return ParseError(path, reader, "malformed N line");
       }
-      node.op = static_cast<int>(op);
-      node.left = static_cast<int>(left);
-      node.right = static_cast<int>(right);
-      node.stage = static_cast<int>(stage);
     }
 
-    if (cursor.Token() != "T") {
-      return ParseError(path, cursor, "expected T line");
+    if (reader.Token() != "T") {
+      return ParseError(path, reader, "expected T line");
     }
-    record.total_run_seconds.resize(static_cast<size_t>(runs));
+    record.total_run_seconds.resize(runs);
     for (double& v : record.total_run_seconds) {
-      if (!cursor.Double(&v)) {
-        return ParseError(path, cursor, "malformed T line");
+      if (!reader.FiniteDouble(&v)) {
+        return ParseError(path, reader, "malformed T line");
       }
     }
 
     // Pipelines are stored as interleaved P / FT / FE blocks.
-    record.pipeline_times.resize(static_cast<size_t>(num_pipelines));
-    record.feat_true.resize(static_cast<size_t>(num_pipelines));
-    record.feat_est.resize(static_cast<size_t>(num_pipelines));
-    for (size_t p = 0; p < static_cast<size_t>(num_pipelines); ++p) {
+    record.pipeline_times.resize(num_pipelines);
+    record.feat_true.resize(num_pipelines);
+    record.feat_est.resize(num_pipelines);
+    for (size_t p = 0; p < num_pipelines; ++p) {
       PipelineTiming& timing = record.pipeline_times[p];
-      int64_t pipeline = 0;
-      if (cursor.Token() != "P" || !cursor.Int(&pipeline) ||
-          !cursor.Double(&timing.median_seconds)) {
-        return ParseError(path, cursor, "malformed P line");
+      if (reader.Token() != "P" || !reader.Int(&timing.pipeline) ||
+          !reader.FiniteDouble(&timing.median_seconds)) {
+        return ParseError(path, reader, "malformed P line");
       }
-      timing.pipeline = static_cast<int>(pipeline);
-      timing.run_seconds.resize(static_cast<size_t>(runs));
+      timing.run_seconds.resize(runs);
       for (double& v : timing.run_seconds) {
-        if (!cursor.Double(&v)) {
-          return ParseError(path, cursor, "malformed P run value");
+        if (!reader.FiniteDouble(&v)) {
+          return ParseError(path, reader, "malformed P run value");
         }
       }
-      if (cursor.Token() != "FT") {
-        return ParseError(path, cursor, "expected FT line");
+      if (reader.Token() != "FT") {
+        return ParseError(path, reader, "expected FT line");
       }
-      Status status = ParsePipelineFeatures(path, &cursor, &record.feat_true[p]);
+      Status status = ParsePipelineFeatures(path, &reader, &record.feat_true[p]);
       if (!status.ok()) return status;
-      if (cursor.Token() != "FE") {
-        return ParseError(path, cursor, "expected FE line");
+      if (reader.Token() != "FE") {
+        return ParseError(path, reader, "expected FE line");
       }
-      status = ParsePipelineFeatures(path, &cursor, &record.feat_est[p]);
+      status = ParsePipelineFeatures(path, &reader, &record.feat_est[p]);
       if (!status.ok()) return status;
     }
     corpus.records.push_back(std::move(record));
   }
-  if (!cursor.AtEnd()) {
-    return ParseError(path, cursor, "trailing data after last record");
+  if (!reader.AtEnd()) {
+    return ParseError(path, reader, "trailing data after last record");
   }
   return corpus;
 }
@@ -246,30 +156,24 @@ std::string CorpusToText(const Corpus& corpus) {
                      record.structure_group, record.fixed_suite ? 1 : 0,
                      record.feat_true.size(), record.runs,
                      record.plan_nodes.size());
-    AppendDouble(&out, record.median_seconds);
+    AppendExactDouble(&out, record.median_seconds);
     out.push_back('\n');
     for (const PlanNodeRecord& node : record.plan_nodes) {
-      out += StrFormat("N %d %d %d ", node.op, node.left, node.right);
-      AppendDouble(&out, node.cardinality);
-      out.push_back(' ');
-      AppendDouble(&out, node.extra);
-      out.push_back(' ');
-      AppendDouble(&out, node.width);
-      out += StrFormat(" %d\n", node.stage);
+      AppendPlanNodeRow(&out, node);
     }
     out += "T";
     for (double v : record.total_run_seconds) {
       out.push_back(' ');
-      AppendDouble(&out, v);
+      AppendExactDouble(&out, v);
     }
     out.push_back('\n');
     for (size_t p = 0; p < record.pipeline_times.size(); ++p) {
       const PipelineTiming& timing = record.pipeline_times[p];
       out += StrFormat("P %d ", timing.pipeline);
-      AppendDouble(&out, timing.median_seconds);
+      AppendExactDouble(&out, timing.median_seconds);
       for (double v : timing.run_seconds) {
         out.push_back(' ');
-        AppendDouble(&out, v);
+        AppendExactDouble(&out, v);
       }
       out.push_back('\n');
       AppendPipelineFeatures(&out, "FT", record.feat_true[p]);

@@ -1,6 +1,7 @@
 #include "model/t3_model.h"
 
 #include "common/string_util.h"
+#include "common/text_format.h"
 
 namespace t3 {
 

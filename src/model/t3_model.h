@@ -50,16 +50,22 @@ class T3Model {
   /// Raw model output (transformed domain) for one feature row.
   double PredictRaw(const double* row) const { return forest_.Predict(row); }
 
-  /// Predicted pipeline seconds for one pipeline feature row. For
-  /// kPerTuple models the per-tuple time is scaled by the pipeline's input
-  /// cardinality; other targets ignore it.
-  double PredictPipelineSeconds(const double* row,
-                                double input_cardinality) const {
-    const double seconds = InverseTransformTarget(PredictRaw(row));
+  /// Raw model output -> predicted seconds: the inverse transform, then,
+  /// for kPerTuple models, scaling by the pipeline's input cardinality;
+  /// other targets ignore it. The one conversion every prediction path
+  /// (direct, batched, served) goes through, so they agree bit-exactly.
+  double SecondsFromRaw(double raw, double input_cardinality) const {
+    const double seconds = InverseTransformTarget(raw);
     if (target_ == PredictionTarget::kPerTuple) {
       return seconds * std::max(input_cardinality, 1.0);
     }
     return seconds;
+  }
+
+  /// Predicted pipeline seconds for one pipeline feature row.
+  double PredictPipelineSeconds(const double* row,
+                                double input_cardinality) const {
+    return SecondsFromRaw(PredictRaw(row), input_cardinality);
   }
 
   Status SaveToFile(const std::string& path) const;

@@ -1,118 +1,58 @@
 #include "plan/plan_file.h"
 
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
+#include <algorithm>
 
 #include "common/string_util.h"
 
 namespace t3 {
-namespace {
 
-/// Same pointer-walking reader as the corpus parser (harness/corpus.cc),
-/// reduced to what plan files need. The backing string is NUL-terminated.
-struct Cursor {
-  const char* pos;
-  const char* end;
-  int line = 1;
-
-  explicit Cursor(std::string_view text)
-      : pos(text.data()), end(text.data() + text.size()) {}
-
-  static bool IsSpace(char c) {
-    return c == ' ' || c == '\t' || c == '\n' || c == '\r';
-  }
-  void SkipSpace() {
-    while (pos != end && IsSpace(*pos)) {
-      if (*pos == '\n') ++line;
-      ++pos;
-    }
-  }
-  bool AtEnd() {
-    SkipSpace();
-    return pos == end;
-  }
-  std::string_view Token() {
-    SkipSpace();
-    const char* start = pos;
-    while (pos != end && !IsSpace(*pos)) ++pos;
-    return std::string_view(start, static_cast<size_t>(pos - start));
-  }
-  bool Double(double* out) {
-    SkipSpace();
-    char* after = nullptr;
-    *out = std::strtod(pos, &after);
-    if (after == pos || !std::isfinite(*out)) return false;
-    pos = after;
-    return true;
-  }
-  bool Int(int64_t* out) {
-    SkipSpace();
-    char* after = nullptr;
-    *out = std::strtoll(pos, &after, 10);
-    if (after == pos) return false;
-    pos = after;
-    return true;
-  }
-};
-
-Status ParseError(const Cursor& cursor, const char* what) {
-  return InvalidArgumentError(
-      StrFormat("plan line %d: %s", cursor.line, what));
+bool ReadPlanNodeRow(TextReader* reader, PlanNodeRecord* record) {
+  return reader->Token() == "N" && reader->Int(&record->op) &&
+         reader->Int(&record->left) && reader->Int(&record->right) &&
+         reader->FiniteDouble(&record->cardinality) &&
+         reader->FiniteDouble(&record->extra) &&
+         reader->FiniteDouble(&record->width) && reader->Int(&record->stage);
 }
 
-void AppendDouble(std::string* out, double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  out->append(buffer);
+void AppendPlanNodeRow(std::string* out, const PlanNodeRecord& record) {
+  out->append(StrFormat("N %d %d %d ", record.op, record.left, record.right));
+  AppendExactDouble(out, record.cardinality);
+  out->push_back(' ');
+  AppendExactDouble(out, record.extra);
+  out->push_back(' ');
+  AppendExactDouble(out, record.width);
+  out->append(StrFormat(" %d\n", record.stage));
 }
-
-}  // namespace
 
 Result<std::vector<PlanNodeRecord>> ParsePlanText(std::string_view text) {
-  Cursor cursor(text);
-  if (cursor.Token() != "t3plan" || cursor.Token() != "v1") {
+  TextReader reader(text);
+  if (reader.Token() != "t3plan" || reader.Token() != "v1") {
     return InvalidArgumentError("not a t3plan v1 file");
   }
-  int64_t num_nodes = 0;
-  if (cursor.Token() != "nodes" || !cursor.Int(&num_nodes) || num_nodes < 0) {
-    return ParseError(cursor, "bad node count");
+  const auto error = [&reader](const char* what) {
+    return InvalidArgumentError(StrFormat("plan line %d: %s", reader.line(), what));
+  };
+  size_t num_nodes = 0;
+  if (reader.Token() != "nodes" || !reader.Count(&num_nodes)) {
+    return error("bad node count");
   }
+  // An N row takes at least 16 bytes; plan text arrives from the network,
+  // so reserve no more than the text can hold.
   std::vector<PlanNodeRecord> records;
-  records.reserve(static_cast<size_t>(num_nodes));
-  for (int64_t i = 0; i < num_nodes; ++i) {
+  records.reserve(std::min(num_nodes, text.size() / 16));
+  for (size_t i = 0; i < num_nodes; ++i) {
     PlanNodeRecord record;
-    int64_t op = 0, left = 0, right = 0, stage = 0;
-    if (cursor.Token() != "N" || !cursor.Int(&op) || !cursor.Int(&left) ||
-        !cursor.Int(&right) || !cursor.Double(&record.cardinality) ||
-        !cursor.Double(&record.extra) || !cursor.Double(&record.width) ||
-        !cursor.Int(&stage)) {
-      return ParseError(cursor, "malformed N line");
-    }
-    record.op = static_cast<int>(op);
-    record.left = static_cast<int>(left);
-    record.right = static_cast<int>(right);
-    record.stage = static_cast<int>(stage);
+    if (!ReadPlanNodeRow(&reader, &record)) return error("malformed N line");
     records.push_back(record);
   }
-  if (!cursor.AtEnd()) {
-    return ParseError(cursor, "trailing data after last node");
-  }
+  if (!reader.AtEnd()) return error("trailing data after last node");
   return records;
 }
 
 std::string PlanRecordsToText(const std::vector<PlanNodeRecord>& records) {
   std::string out = "t3plan v1\n";
   out += StrFormat("nodes %zu\n", records.size());
-  for (const PlanNodeRecord& record : records) {
-    out += StrFormat("N %d %d %d ", record.op, record.left, record.right);
-    AppendDouble(&out, record.cardinality);
-    out.push_back(' ');
-    AppendDouble(&out, record.extra);
-    out.push_back(' ');
-    AppendDouble(&out, record.width);
-    out += StrFormat(" %d\n", record.stage);
-  }
+  for (const PlanNodeRecord& record : records) AppendPlanNodeRow(&out, record);
   return out;
 }
 

@@ -7,10 +7,12 @@ namespace t3 {
 ///
 ///   N <op> <left> <right> <cardinality> <extra> <width> <stage>
 ///
-/// This is the *shared schema* between live plans (src/plan) and benchmarked
-/// corpora (src/harness): PlanToRecords / PlanFromRecords convert a
-/// PhysicalPlan to and from this row form, and the corpus reader/writer
-/// moves the rows to and from disk verbatim. Operator payloads (key columns,
+/// This is the *shared schema* between live plans (src/plan), plan files
+/// and benchmarked corpora (src/harness): PlanToRecords / PlanFromRecords
+/// convert a PhysicalPlan to and from this row form, and the one N-row
+/// reader and writer, ReadPlanNodeRow / AppendPlanNodeRow in
+/// plan/plan_file.h, move the rows to and from text for both the t3plan
+/// and the t3corpus format. Operator payloads (key columns,
 /// predicates, aggregate lists) are not part of the N schema — the corpus
 /// stores plan *shape* and annotations, features live on FT/FE lines.
 ///

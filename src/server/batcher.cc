@@ -8,12 +8,17 @@
 #include "common/thread_pool.h"
 
 namespace t3 {
+namespace {
 
-RequestBatcher::RequestBatcher(const ModelRegistry* registry,
-                               Options options)
-    : registry_(registry), options_(options) {
+/// Row cap of one coalesced PredictBatch call; jobs beyond it wait for the
+/// next batch (one job is never split).
+constexpr size_t kMaxBatchRows = 16384;
+
+}  // namespace
+
+RequestBatcher::RequestBatcher(const ModelRegistry* registry)
+    : registry_(registry) {
   T3_CHECK(registry_ != nullptr);
-  T3_CHECK(options_.max_batch_rows > 0);
 }
 
 RequestBatcher::~RequestBatcher() { Stop(); }
@@ -78,7 +83,7 @@ void RequestBatcher::Loop() {
       while (!queue_.empty()) {
         Job& next = queue_.front();
         if (!batch.empty() &&
-            batch_rows + next.num_rows > options_.max_batch_rows) {
+            batch_rows + next.num_rows > kMaxBatchRows) {
           break;
         }
         batch_rows += next.num_rows;

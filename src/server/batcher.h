@@ -37,7 +37,7 @@ struct BatcherStats {
 /// on the SIMD path. Connection workers submit jobs (feature rows + a
 /// completion callback) and continue serving other sockets; one inference
 /// loop drains the queue, packs every waiting job into one row-major matrix
-/// (up to max_batch_rows), snapshots the current model once, runs one
+/// (up to a fixed row cap), snapshots the current model once, runs one
 /// PredictBatch, and invokes the callbacks. Coalescing therefore scales
 /// with the number of requests in flight, not with worker count.
 ///
@@ -61,13 +61,7 @@ class RequestBatcher {
   };
   using Callback = std::function<void(Result<Reply>)>;
 
-  struct Options {
-    /// Row cap of one coalesced PredictBatch call; jobs beyond it wait for
-    /// the next batch (one job is never split).
-    size_t max_batch_rows = 16384;
-  };
-
-  RequestBatcher(const ModelRegistry* registry, Options options);
+  explicit RequestBatcher(const ModelRegistry* registry);
   ~RequestBatcher();
 
   RequestBatcher(const RequestBatcher&) = delete;
@@ -98,7 +92,6 @@ class RequestBatcher {
   void Loop();
 
   const ModelRegistry* registry_;
-  const Options options_;
 
   mutable std::mutex mu_;
   std::condition_variable work_available_;

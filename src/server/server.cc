@@ -59,8 +59,7 @@ PredictionServer::PredictionServer(
     std::shared_ptr<const ServingModel> initial, ServerOptions options)
     : options_(std::move(options)),
       registry_(std::move(initial)),
-      batcher_(&registry_,
-               RequestBatcher::Options{options_.max_batch_rows}) {}
+      batcher_(&registry_) {}
 
 PredictionServer::~PredictionServer() { Stop(); }
 
@@ -225,6 +224,17 @@ void PredictionServer::FinishPredict(
     Result<RequestBatcher::Reply> reply) {
   if (!reply.ok()) {
     SendFrame(worker, conn, EncodeErrorResponse(reply.status()));
+  } else if (sum_to_one &&
+             reply->model->model.target() == PredictionTarget::kPerQuery) {
+    // A per-query model was trained on summed query vectors
+    // (SummedQueryFeatures), so summing its per-pipeline outputs would
+    // answer with a number it was never trained to produce.
+    SendFrame(worker, conn,
+              EncodeErrorResponse(FailedPreconditionError(StrFormat(
+                  "plan requests need a per-tuple or per-pipeline model; "
+                  "the served model %s (version %u) has the per-query "
+                  "target",
+                  reply->model->source.c_str(), reply->model->version))));
   } else {
     const ServingModel& model = *reply->model;
     PredictResponse response;

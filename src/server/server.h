@@ -25,8 +25,6 @@ struct ServerOptions {
   uint16_t port = 0;
   /// Accept/worker event loops (thread-per-core); 0 = hardware concurrency.
   size_t num_workers = 0;
-  /// Row cap of one coalesced PredictBatch call.
-  size_t max_batch_rows = 16384;
   /// Honor kShutdown frames (CI smoke and tests); off for long-lived
   /// deployments where only the operator may stop the process.
   bool allow_remote_shutdown = true;

@@ -1,6 +1,9 @@
 #include <atomic>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -9,6 +12,7 @@
 #include "common/stats.h"
 #include "common/status.h"
 #include "common/string_util.h"
+#include "common/text_format.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
 
@@ -98,6 +102,85 @@ TEST(StringUtilTest, ParseUint64Strict) {
   EXPECT_FALSE(ParseUint64("18446744073709551616", &value));  // Overflow.
   EXPECT_FALSE(ParseUint64("1.0", &value));
   EXPECT_EQ(value, 5u);
+}
+
+TEST(TextReaderTest, TokensNumbersLiteralsAndLines) {
+  TextReader reader("FT 3 -2\n  7:1.5\tx\n");
+  EXPECT_EQ(reader.Token(), "FT");
+  int64_t a = 0;
+  int b = 0;
+  ASSERT_TRUE(reader.Int(&a));
+  ASSERT_TRUE(reader.Int(&b));
+  EXPECT_EQ(a, 3);
+  EXPECT_EQ(b, -2);
+  EXPECT_EQ(reader.line(), 1);
+  size_t index = 0;
+  double value = 0.0;
+  ASSERT_TRUE(reader.Int(&index));  // Stops at ':'.
+  EXPECT_EQ(reader.line(), 2);
+  EXPECT_FALSE(reader.Literal(','));
+  ASSERT_TRUE(reader.Literal(':'));
+  ASSERT_TRUE(reader.Double(&value));
+  EXPECT_EQ(index, 7u);
+  EXPECT_EQ(value, 1.5);
+  EXPECT_FALSE(reader.Double(&value));  // "x" is not a number.
+  EXPECT_EQ(reader.Token(), "x");
+  EXPECT_TRUE(reader.AtEnd());
+  EXPECT_EQ(reader.line(), 3);
+  EXPECT_EQ(reader.Token(), "");
+}
+
+TEST(TextReaderTest, NonFiniteOnlyThroughDouble) {
+  double value = 0.0;
+  for (const char* text : {"inf", "-inf", "nan"}) {
+    TextReader plain(text);
+    EXPECT_TRUE(plain.Double(&value)) << text;
+    TextReader finite(text);
+    EXPECT_FALSE(finite.FiniteDouble(&value)) << text;
+  }
+  TextReader overflow("1e999");
+  EXPECT_FALSE(overflow.Double(&value));
+}
+
+TEST(TextReaderTest, NeverReadsPastTheView) {
+  // Each view ends inside a number whose digits continue in the buffer.
+  const std::string buffer = "12 1.25e3 77";
+  TextReader ints(std::string_view(buffer.data(), 1));
+  int64_t i = 0;
+  ASSERT_TRUE(ints.Int(&i));
+  EXPECT_EQ(i, 1);
+  EXPECT_TRUE(ints.AtEnd());
+  TextReader doubles(std::string_view(buffer.data() + 3, 4));
+  double d = 0.0;
+  ASSERT_TRUE(doubles.Double(&d));
+  EXPECT_EQ(d, 1.25);
+  EXPECT_TRUE(doubles.AtEnd());
+  TextReader token(std::string_view(buffer.data() + 10, 1));
+  EXPECT_EQ(token.Token(), "7");
+}
+
+TEST(TextReaderTest, CountIsBoundedByTheTextSize) {
+  size_t count = 0;
+  TextReader small("5 rows");
+  EXPECT_TRUE(small.Count(&count));
+  EXPECT_EQ(count, 5u);
+  TextReader forged("999999999999999999 rows");
+  EXPECT_FALSE(forged.Count(&count));
+  TextReader negative("-1 ");
+  EXPECT_FALSE(negative.Count(&count));
+}
+
+TEST(TextFormatTest, AppendExactDoubleIsPercent17g) {
+  for (const double value : {0.0, -0.0, 0.1, 1.0 / 3.0, 1e-320, 6.02e23,
+                             std::numeric_limits<double>::infinity()}) {
+    std::string out = "x";
+    AppendExactDouble(&out, value);
+    EXPECT_EQ(out, "x" + StrFormat("%.17g", value));
+    TextReader reader(std::string_view(out).substr(1));
+    double back = 0.0;
+    ASSERT_TRUE(reader.Double(&back)) << out;
+    EXPECT_EQ(std::memcmp(&back, &value, sizeof(value)), 0) << out;
+  }
 }
 
 TEST(RngTest, DeterministicAcrossInstances) {

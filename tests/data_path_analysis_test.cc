@@ -15,6 +15,7 @@
 #include "analysis/plan_verifier.h"
 #include "common/check.h"
 #include "common/stats.h"
+#include "common/text_format.h"
 #include "datagen/generator.h"
 #include "datagen/spec.h"
 #include "features/feature_registry.h"
@@ -78,6 +79,29 @@ TEST(PlanFileTest, RejectsMalformedText) {
   EXPECT_FALSE(
       ParsePlanText("t3plan v1\nnodes 1\nN 8 -1 -1 1 0 8 0\ntrailing\n")
           .ok());
+  // A forged node count is a clean error, not a huge allocation.
+  EXPECT_FALSE(
+      ParsePlanText("t3plan v1\nnodes 999999999999999999\nN 8 -1 -1 1 0 8 0\n")
+          .ok());
+}
+
+TEST(PlanFileTest, ParsesTheViewNotTheBufferBehindIt) {
+  // Plan text arrives as an exact-size network buffer. Each view stops at
+  // the end of the fixture's final number; the buffer behind it continues
+  // with a digit, which must not become part of that number.
+  for (const char* name :
+       {"data/plan_agg_golden.txt", "data/plan_join_golden.txt"}) {
+    Result<std::string> golden =
+        ReadFileToString(std::string(T3_SOURCE_DIR) + "/" + name);
+    ASSERT_TRUE(golden.ok()) << name;
+    ASSERT_EQ(golden->back(), '\n') << name;
+    std::string buffer = *golden;
+    buffer.back() = '7';
+    Result<std::vector<PlanNodeRecord>> records =
+        ParsePlanText(std::string_view(buffer.data(), buffer.size() - 1));
+    ASSERT_TRUE(records.ok()) << name << ": " << records.status().ToString();
+    EXPECT_EQ(PlanRecordsToText(*records), *golden) << name;
+  }
 }
 
 // --- PlanVerifier. ---

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/text_format.h"
 #include "gbt/forest.h"
 #include "gbt/trainer.h"
 #include "model/t3_model.h"
@@ -151,6 +152,34 @@ TEST(ForestIoTest, RejectsMalformedText) {
   EXPECT_FALSE(Forest::FromText("t3gbt v1\nnum_features 2\nbase_score 0\n"
                                 "num_trees 1\ntree 1\n0 0 0.5 3 4 0\n")
                    .ok());
+  // Counts larger than the text are clean errors, not huge allocations.
+  EXPECT_FALSE(Forest::FromText("t3gbt v1\nnum_features 2\nbase_score 0\n"
+                                "num_trees 999999999999999999\n")
+                   .ok());
+  EXPECT_FALSE(Forest::FromText("t3gbt v1\nnum_features 2\nbase_score 0\n"
+                                "num_trees 1\ntree 999999999999999999\n")
+                   .ok());
+}
+
+TEST(ForestIoTest, ParsesTheViewNotTheBufferBehindIt) {
+  // The view stops at the end of the last leaf value; the buffer behind it
+  // continues with a digit, which must not turn the leaf 2 into 27.
+  Forest forest;
+  forest.num_features = 1;
+  forest.base_score = 0.5;
+  Tree tree;
+  tree.nodes.resize(1);
+  tree.nodes[0].is_leaf = true;
+  tree.nodes[0].value = 2.0;
+  forest.trees.push_back(tree);
+  const std::string text = forest.ToText();
+  std::string buffer = text;
+  buffer.back() = '7';
+  Result<Forest> parsed =
+      Forest::FromText(std::string_view(buffer.data(), buffer.size() - 1));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->trees[0].nodes[0].value, 2.0);
+  EXPECT_EQ(parsed->ToText(), text);
 }
 
 TEST(ForestIoTest, EveryCheckedInFixtureRoundTripsBitExact) {

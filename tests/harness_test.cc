@@ -13,6 +13,7 @@
 #include "common/check.h"
 #include "common/stats.h"
 #include "common/string_util.h"
+#include "common/text_format.h"
 #include "gbt/trainer.h"
 #include "harness/corpus.h"
 #include "harness/evaluate.h"
@@ -124,6 +125,32 @@ TEST(CorpusTest, TruncatedCorpusIsAnErrorNotACrash) {
     EXPECT_FALSE(corpus.ok()) << "prefix of " << cut << " bytes parsed";
     EXPECT_EQ(corpus.status().code(), StatusCode::kInvalidArgument);
   }
+}
+
+TEST(CorpusTest, ParsesTheViewNotTheBufferBehindIt) {
+  // The view stops at the end of the final "1:2.5"; the buffer behind it
+  // continues with a digit, which must not turn 2.5 into 2.57.
+  std::string buffer = TinyCorpusText();
+  buffer.back() = '7';
+  Result<Corpus> corpus =
+      ParseCorpus(std::string_view(buffer.data(), buffer.size() - 1));
+  ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
+  EXPECT_EQ(corpus->records[0].feat_est[0].values[1], 2.5);
+  Result<Corpus> whole = ParseCorpus(TinyCorpusText());
+  ASSERT_TRUE(whole.ok());
+  EXPECT_EQ(CorpusToText(*corpus), CorpusToText(*whole));
+}
+
+TEST(CorpusTest, RejectsForgedCounts) {
+  // Counts larger than the text are clean errors, not huge allocations.
+  EXPECT_FALSE(ParseCorpus("t3corpus v1\nrecords 999999999999999999\n").ok());
+  std::string bad = TinyCorpusText();
+  const size_t pos = bad.find("0 1 2 1 0.5");
+  ASSERT_NE(pos, std::string::npos);
+  bad.replace(pos, 11, "0 1 2 999999999999999999 0.5");
+  Result<Corpus> corpus = ParseCorpus(bad);
+  ASSERT_FALSE(corpus.ok());
+  EXPECT_NE(corpus.status().message().find("R line"), std::string::npos);
 }
 
 TEST(CorpusTest, RejectsTrailingGarbage) {

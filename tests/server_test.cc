@@ -16,6 +16,7 @@
 #include "common/net.h"
 #include "common/random.h"
 #include "common/string_util.h"
+#include "common/text_format.h"
 #include "gbt/forest.h"
 #include "model/t3_model.h"
 #include "server/client.h"
@@ -308,6 +309,68 @@ TEST(PredictionServerTest, PredictPlanMatchesPipelineSum) {
 }
 
 // --- Client misbehavior ---
+
+TEST(PredictionServerTest, PredictPlanPrefixesAreErrorsNotCrashes) {
+  Result<std::unique_ptr<PredictionServer>> server = PredictionServer::Start(
+      MakeTestServingModel(304, 48, 4), TestServerOptions());
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  Result<std::string> plan_text = ReadFileToString(
+      std::string(T3_SOURCE_DIR) + "/data/plan_agg_golden.txt");
+  ASSERT_TRUE(plan_text.ok()) << plan_text.status().ToString();
+  Result<PredictionClient> client =
+      PredictionClient::Connect("127.0.0.1", (*server)->port());
+  ASSERT_TRUE(client.ok());
+
+  // Every prefix cut before the first byte of the final token is missing a
+  // field (a cut inside the final number is just a shorter number). Each
+  // arrives as an exact-size payload: the parser must answer with a kError
+  // from the bytes it was given, and the connection must stay usable.
+  const size_t last_byte = plan_text->find_last_not_of(" \n");
+  const size_t last_token = plan_text->find_last_of(" \n", last_byte) + 1;
+  for (size_t cut = 0; cut <= last_token; ++cut) {
+    Result<PredictResponse> response =
+        client->PredictPlan(std::string_view(*plan_text).substr(0, cut));
+    EXPECT_FALSE(response.ok()) << "prefix of " << cut << " bytes predicted";
+  }
+  EXPECT_TRUE(client->PredictPlan(*plan_text).ok());
+  (*server)->Stop();
+}
+
+TEST(PredictionServerTest, PredictPlanNeedsAPipelineLevelModel) {
+  // A per-query model predicts a whole query from its summed feature
+  // vector; summing its per-pipeline outputs answers a question it was
+  // never trained on, so plan requests fail while rows requests still work.
+  const T3Model reference(MakeRandomForest(305, 48, 6), PredictionTarget::kPerQuery);
+  Result<std::shared_ptr<const ServingModel>> serving =
+      MakeServingModel(reference, 1, "test:per-query");
+  ASSERT_TRUE(serving.ok()) << serving.status().ToString();
+  Result<std::unique_ptr<PredictionServer>> server =
+      PredictionServer::Start(*std::move(serving), TestServerOptions());
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  Result<std::string> plan_text = ReadFileToString(
+      std::string(T3_SOURCE_DIR) + "/data/plan_agg_golden.txt");
+  ASSERT_TRUE(plan_text.ok()) << plan_text.status().ToString();
+  Result<PredictionClient> client =
+      PredictionClient::Connect("127.0.0.1", (*server)->port());
+  ASSERT_TRUE(client.ok());
+
+  Result<PredictResponse> plan = client->PredictPlan(*plan_text);
+  ASSERT_FALSE(plan.ok());
+  EXPECT_EQ(plan.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(plan.status().message().find("per-query"), std::string::npos)
+      << plan.status().ToString();
+
+  const PredictRowsRequest request = MakeRandomRequest(306, 5, 48);
+  Result<PredictResponse> rows = client->PredictRows(request);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  ASSERT_EQ(rows->predictions.size(), request.num_rows());
+  for (size_t i = 0; i < request.num_rows(); ++i) {
+    EXPECT_EQ(rows->predictions[i],
+              reference.PredictPipelineSeconds(request.rows.data() + i * 48,
+                                               request.input_cardinalities[i]));
+  }
+  (*server)->Stop();
+}
 
 TEST(PredictionServerTest, MalformedFrameGetsErrorAndClose) {
   Result<std::unique_ptr<PredictionServer>> server = PredictionServer::Start(

@@ -28,8 +28,8 @@
 
 #include "cli_util.h"
 #include "common/string_util.h"
+#include "common/text_format.h"
 #include "common/thread_pool.h"
-#include "gbt/forest.h"
 #include "harness/corpus.h"
 #include "harness/runner.h"
 #include "querygen/querygen.h"

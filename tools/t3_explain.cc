@@ -25,10 +25,10 @@
 
 #include "cli_util.h"
 #include "common/string_util.h"
+#include "common/text_format.h"
 #include "datagen/generator.h"
 #include "datagen/spec.h"
 #include "engine/executor.h"
-#include "gbt/forest.h"  // WriteStringToFile
 #include "plan/pipeline.h"
 #include "plan/plan.h"
 #include "plan/plan_file.h"

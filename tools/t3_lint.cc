@@ -72,6 +72,7 @@
 #include "analysis/plan_verifier.h"
 #include "analysis/translation_validator.h"
 #include "cli_util.h"
+#include "common/text_format.h"
 #include "gbt/forest.h"
 #include "harness/corpus.h"
 #include "plan/plan_file.h"
