@@ -39,7 +39,7 @@ T3Model TrainMasked(const std::vector<const QueryRecord*>& train_records,
   std::vector<double> targets;
   for (const QueryRecord* record : train_records) {
     for (size_t p = 0; p < record->feat_true.size(); ++p) {
-      const PipelineFeatures& features = record->feat_true[p];
+      const PipelineFeatureVector& features = record->feat_true[p];
       if (features.values.size() != num_features) continue;
       std::vector<double> row = features.values;
       for (size_t index : masked) row[index] = 0.0;
@@ -75,7 +75,7 @@ QErrorSummary EvaluateMasked(const T3Model& model,
   q_errors.reserve(records.size());
   for (const QueryRecord* record : records) {
     double predicted = 0.0;
-    for (const PipelineFeatures& features : record->feat_true) {
+    for (const PipelineFeatureVector& features : record->feat_true) {
       std::vector<double> row = features.values;
       for (size_t index : masked) row[index] = 0.0;
       predicted +=

@@ -19,7 +19,7 @@ void Run() {
 
   // Pool of real pipeline feature vectors to draw from ("many random
   // pipelines perform equivalently to a large query for T3").
-  std::vector<const PipelineFeatures*> pool;
+  std::vector<const PipelineFeatureVector*> pool;
   for (const QueryRecord& record : corpus.records) {
     for (const auto& features : record.feat_true) pool.push_back(&features);
   }
@@ -47,7 +47,7 @@ void Run() {
     rows.reserve(n * dim);
     std::vector<double> cards;
     for (size_t i = 0; i < n; ++i) {
-      const PipelineFeatures* f =
+      const PipelineFeatureVector* f =
           pool[static_cast<size_t>(rng.UniformInt(0, pool.size() - 1))];
       rows.insert(rows.end(), f->values.begin(), f->values.end());
       cards.push_back(std::max(f->input_cardinality, 1.0));

@@ -38,9 +38,9 @@ uint64_t RecordFingerprint(const QueryRecord& record) {
     hasher.F64(node.width);
     hasher.U64(static_cast<uint64_t>(node.stage));
   }
-  auto fold_features = [&](const std::vector<PipelineFeatures>& features) {
+  auto fold_features = [&](const std::vector<PipelineFeatureVector>& features) {
     hasher.U64(features.size());
-    for (const PipelineFeatures& f : features) {
+    for (const PipelineFeatureVector& f : features) {
       hasher.U64(static_cast<uint64_t>(f.pipeline));
       hasher.F64(f.input_cardinality);
       hasher.U64(f.values.size());
@@ -172,7 +172,7 @@ AnalysisReport CorpusAuditor::AuditRecord(const QueryRecord& record,
   // --- Feature vectors (FeatureAuditor per vector + true/est pairing). ---
   const FeatureAuditor feature_auditor;
   for (size_t p = 0; p < record.feat_true.size(); ++p) {
-    const PipelineFeatures& ft = record.feat_true[p];
+    const PipelineFeatureVector& ft = record.feat_true[p];
     if (ft.pipeline != static_cast<int>(p)) {
       report.Add(Severity::kError, "corpus-pipeline", record_index,
                  static_cast<int>(p),
@@ -187,7 +187,7 @@ AnalysisReport CorpusAuditor::AuditRecord(const QueryRecord& record,
                 record_index, prefix);
   }
   for (size_t p = 0; p < record.feat_est.size(); ++p) {
-    const PipelineFeatures& fe = record.feat_est[p];
+    const PipelineFeatureVector& fe = record.feat_est[p];
     if (fe.pipeline != static_cast<int>(p)) {
       report.Add(Severity::kError, "corpus-pipeline", record_index,
                  static_cast<int>(p),
@@ -263,7 +263,7 @@ AnalysisReport CorpusAuditor::AuditRecord(const QueryRecord& record,
       }
       expected_counts[static_cast<size_t>(stage_index)] += 1.0;
     }
-    auto check_counts = [&](const PipelineFeatures& features,
+    auto check_counts = [&](const PipelineFeatureVector& features,
                             const char* tag) {
       if (static_cast<int>(features.values.size()) != kFeatureDim) return;
       for (size_t s = 0; s < catalog_size; ++s) {

@@ -3,31 +3,23 @@
 
 #include <vector>
 
-#include "analysis/report.h"
+#include "common/report.h"
 #include "plan/plan.h"
 #include "plan/plan_record.h"
 
 namespace t3 {
 
 /// Static verifier for physical plans — the data-path counterpart of
-/// ForestVerifier. ValidatePlan stops at the first problem (it gates
-/// execution); this pass keeps going and reports every invariant violation
-/// of a loaded plan, independent of how it was built, so t3_lint can show a
-/// corrupted fixture's full damage at once.
+/// ForestVerifier. It reports every invariant violation of a loaded plan,
+/// independent of how it was built, so t3_lint can show a corrupted
+/// fixture's full damage at once.
 ///
 /// Diagnostics anchor `node` to the plan node index (`tree` stays -1; plans
-/// have no tree axis). Check ids:
-///   plan-empty      — the plan has no nodes.
-///   plan-op         — unknown operator code.
-///   plan-arity      — wrong child count for the operator.
-///   plan-topology   — child reference at or above the node (a cycle under
-///                     children-before-parents order) or out of range.
-///   plan-consumer   — a non-root node consumed != exactly once.
-///   plan-root       — the root is not kOutput, or kOutput appears below it.
-///   plan-annotation — non-finite or negative cardinality/width, or
-///                     non-finite extra.
-///   plan-payload    — payload shape invalid for the op (empty predicate
-///                     list, unpaired join keys, negative limit, ...).
+/// have no tree axis). The structural checks are CheckPlanStructure
+/// (plan/plan.h: plan-empty, plan-op, plan-arity, plan-topology,
+/// plan-annotation, plan-payload, plan-root, plan-consumer), the same code
+/// ValidatePlan runs, so the gate's rejection is this report's first error.
+/// On a structurally sound plan it adds:
 ///   plan-extra      — node.extra diverges from PlanNodeExtra(node).
 ///   plan-stage      — stage tags diverge from a recomputed pipeline
 ///                     decomposition (e.g. a zeroed breaker tag).
@@ -46,9 +38,9 @@ class PlanVerifier {
                         const Catalog* catalog = nullptr) const;
 
   /// Verifies serialized plan rows (corpus "N" lines / "t3plan v1" files):
-  /// record-level structure first, then — when structurally sound — the full
-  /// plan checks over the rehydrated skeleton. Skeletons carry no payloads,
-  /// so catalog checks do not apply.
+  /// PlanSkeletonFromRecords' extra check (a forged count stops here), a
+  /// plan-stage Error per negative stage tag, then Verify over the
+  /// skeleton. Skeletons carry no payloads, so catalog checks do not apply.
   AnalysisReport VerifyRecords(
       const std::vector<PlanNodeRecord>& records) const;
 };

@@ -6,7 +6,7 @@
 #include <map>
 #include <vector>
 
-#include "analysis/report.h"
+#include "common/report.h"
 #include "analysis/x86_decoder.h"
 
 namespace t3 {

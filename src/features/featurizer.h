@@ -11,9 +11,8 @@
 
 namespace t3 {
 
-/// Feature vector of one pipeline (the paper's getFeatureVectors, Listing 1).
-/// Mirrors harness PipelineFeatures; defined here so src/features does not
-/// depend on src/harness (the corpus builder copies the values over).
+/// Feature vector of one pipeline (the paper's getFeatureVectors, Listing 1);
+/// also the corpus "FT"/"FE" line (harness/corpus.h).
 struct PipelineFeatureVector {
   int pipeline = 0;
   double input_cardinality = 0.0;  ///< Pipeline driving cardinality.

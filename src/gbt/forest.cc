@@ -75,33 +75,48 @@ std::string Forest::ToText() const {
   return out;
 }
 
-Result<Forest> Forest::FromText(std::string_view text) {
-  Result<Forest> forest = ParseTextUnvalidated(text);
+Result<Forest> Forest::FromText(std::string_view text,
+                                PredictionTarget* target) {
+  Result<Forest> forest = ParseTextUnvalidated(text, target);
   if (!forest.ok()) return forest.status();
   Status valid = forest->Validate();
   if (!valid.ok()) return valid;
   return forest;
 }
 
-Result<Forest> Forest::ParseTextUnvalidated(std::string_view text) {
-  TextReader reader(text);
-  std::string_view token = reader.Token();
-  // Model files wrap the forest with a one-line T3 model header; skip it so
-  // Forest::LoadFromFile works on data/model_*.txt directly.
-  if (token == "t3model") {
-    if (reader.Token() != "target") {
-      return InvalidArgumentError("t3model header: expected 'target'");
-    }
-    int64_t ignored = 0;
-    if (!reader.Int(&ignored)) {
-      return InvalidArgumentError("t3model header: missing target id");
-    }
-    token = reader.Token();
+namespace {
+
+/// The one reader of the optional "t3model target <n>" line that opens a
+/// model file. Leaves `reader` untouched and returns kPerTuple when the
+/// text does not start with "t3model".
+Result<PredictionTarget> ReadModelHeader(TextReader* reader) {
+  TextReader header = *reader;
+  if (header.Token() != "t3model") return PredictionTarget::kPerTuple;
+  int64_t id = 0;
+  if (header.Token() != "target" || !header.Int(&id) ||
+      !header.Literal('\n')) {
+    return InvalidArgumentError(
+        "t3model header: expected 't3model target <n>' on one line");
   }
-  if (token != "t3gbt" || reader.Token() != "v1") {
+  if (id < 0 || id > static_cast<int64_t>(PredictionTarget::kPerQuery)) {
+    return InvalidArgumentError(StrFormat("unknown model target %lld",
+                                          static_cast<long long>(id)));
+  }
+  *reader = header;
+  return static_cast<PredictionTarget>(id);
+}
+
+}  // namespace
+
+Result<Forest> Forest::ParseTextUnvalidated(std::string_view text,
+                                            PredictionTarget* target) {
+  TextReader reader(text);
+  Result<PredictionTarget> header = ReadModelHeader(&reader);
+  if (!header.ok()) return header.status();
+  if (target != nullptr) *target = *header;
+  if (reader.Token() != "t3gbt" || reader.Token() != "v1") {
     return InvalidArgumentError("not a t3gbt v1 forest file");
   }
-
   Forest forest;
   if (reader.Token() != "num_features") {
     return InvalidArgumentError("expected num_features");
@@ -159,69 +174,104 @@ Result<Forest> Forest::ParseTextUnvalidated(std::string_view text) {
 }
 
 Status Forest::Validate() const {
-  if (num_features <= 0) return InvalidArgumentError("num_features <= 0");
-  if (!std::isfinite(base_score)) {
-    return InvalidArgumentError("base_score not finite");
-  }
+  AnalysisReport report;
+  CheckForestHeader(*this, &report);
   for (size_t t = 0; t < trees.size(); ++t) {
-    const Tree& tree = trees[t];
-    const int n = static_cast<int>(tree.nodes.size());
-    if (n == 0) {
-      return InvalidArgumentError(StrFormat("tree %zu: empty", t));
-    }
-    size_t leaves = 0;
-    for (int i = 0; i < n; ++i) {
-      const TreeNode& node = tree.nodes[static_cast<size_t>(i)];
-      if (node.is_leaf) {
-        ++leaves;
-        if (!std::isfinite(node.value)) {
-          return InvalidArgumentError(
-              StrFormat("tree %zu node %d: leaf value not finite", t, i));
-        }
-      } else if (!std::isfinite(node.threshold)) {
-        return InvalidArgumentError(
-            StrFormat("tree %zu node %d: threshold not finite", t, i));
+    CheckTreeStructure(*this, static_cast<int>(t), &report);
+  }
+  return report.ToStatus();
+}
+
+void CheckForestHeader(const Forest& forest, AnalysisReport* report) {
+  if (forest.num_features <= 0) {
+    report->Add(Severity::kError, "bad-num-features", -1, -1,
+                StrFormat("num_features is %d, need > 0", forest.num_features));
+  }
+  if (!std::isfinite(forest.base_score)) {
+    report->Add(Severity::kError, "nonfinite-base-score", -1, -1,
+                "base_score is NaN or infinite");
+  }
+}
+
+bool CheckTreeStructure(const Forest& forest, int tree_index,
+                        AnalysisReport* report) {
+  const Tree& tree = forest.trees[static_cast<size_t>(tree_index)];
+  const int n = static_cast<int>(tree.nodes.size());
+  if (n == 0) {
+    report->Add(Severity::kError, "empty-tree", tree_index, -1,
+                "tree has no nodes");
+    return false;
+  }
+
+  bool walkable = true;
+  size_t leaves = 0;
+  for (int i = 0; i < n; ++i) {
+    const TreeNode& node = tree.nodes[static_cast<size_t>(i)];
+    if (node.is_leaf) {
+      ++leaves;
+      if (!std::isfinite(node.value)) {
+        report->Add(Severity::kError, "nonfinite-leaf-value", tree_index, i,
+                    "leaf value is NaN or infinite");
       }
+      continue;
     }
-    if (leaves != static_cast<size_t>(n) - leaves + 1) {
-      return InvalidArgumentError(
-          StrFormat("tree %zu: %zu leaves for %zu inner nodes "
-                    "(want inner + 1)",
-                    t, leaves, static_cast<size_t>(n) - leaves));
+    if (node.feature < 0 || node.feature >= forest.num_features) {
+      report->Add(
+          Severity::kError, "bad-feature-index", tree_index, i,
+          StrFormat("split feature %d outside [0, %d)", node.feature,
+                    forest.num_features));
+      walkable = false;  // The walker indexes per-feature bound arrays.
     }
-    std::vector<char> seen(static_cast<size_t>(n), 0);
-    // Iterative DFS from the root; every node must be visited exactly once.
-    std::vector<int> stack = {0};
-    int visited = 0;
-    while (!stack.empty()) {
-      const int index = stack.back();
-      stack.pop_back();
-      if (index < 0 || index >= n) {
-        return InvalidArgumentError(
-            StrFormat("tree %zu: child index %d out of range", t, index));
-      }
-      if (seen[static_cast<size_t>(index)]) {
-        return InvalidArgumentError(
-            StrFormat("tree %zu: node %d reached twice", t, index));
-      }
-      seen[static_cast<size_t>(index)] = 1;
-      ++visited;
-      const TreeNode& node = tree.nodes[static_cast<size_t>(index)];
-      if (node.is_leaf) continue;
-      if (node.feature < 0 || node.feature >= num_features) {
-        return InvalidArgumentError(
-            StrFormat("tree %zu node %d: feature %d out of range", t, index,
-                      node.feature));
-      }
-      stack.push_back(node.left);
-      stack.push_back(node.right);
+    if (!std::isfinite(node.threshold)) {
+      report->Add(Severity::kError, "nonfinite-threshold", tree_index, i,
+                  "split threshold is NaN or infinite");
+      walkable = false;  // Interval bounds are meaningless with NaN splits.
     }
-    if (visited != n) {
-      return InvalidArgumentError(
-          StrFormat("tree %zu: %d of %d nodes unreachable", t, n - visited, n));
+    for (const int child : {node.left, node.right}) {
+      if (child < 0 || child >= n) {
+        report->Add(Severity::kError, "missing-child", tree_index, i,
+                    StrFormat("child index %d outside the %d-node tree",
+                              child, n));
+        walkable = false;
+      }
     }
   }
-  return Status::OK();
+  if (leaves != static_cast<size_t>(n) - leaves + 1) {
+    report->Add(Severity::kError, "leaf-count-mismatch", tree_index, -1,
+                StrFormat("%zu leaves but %zu inner nodes (want inner + 1)",
+                          leaves, static_cast<size_t>(n) - leaves));
+  }
+  if (!walkable) return false;
+
+  // Reachability: every node must be reached from the root exactly once.
+  std::vector<char> seen(static_cast<size_t>(n), 0);
+  std::vector<int> stack = {0};
+  seen[0] = 1;
+  int visited = 1;
+  bool shared = false;
+  while (!stack.empty()) {
+    const TreeNode& node = tree.nodes[static_cast<size_t>(stack.back())];
+    stack.pop_back();
+    if (node.is_leaf) continue;
+    for (const int child : {node.left, node.right}) {
+      if (seen[static_cast<size_t>(child)]) {
+        report->Add(Severity::kError, "node-shared", tree_index, child,
+                    "node reachable twice from the root (cycle or diamond)");
+        shared = true;
+        continue;  // Do not re-walk: a cycle would never terminate.
+      }
+      seen[static_cast<size_t>(child)] = 1;
+      ++visited;
+      stack.push_back(child);
+    }
+  }
+  for (int i = 0; i < n && visited < n; ++i) {
+    if (!seen[static_cast<size_t>(i)]) {
+      report->Add(Severity::kError, "orphan-node", tree_index, i,
+                  "node unreachable from the root");
+    }
+  }
+  return !shared && visited == n;
 }
 
 Status Forest::SaveToFile(const std::string& path) const {

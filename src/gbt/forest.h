@@ -6,6 +6,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/report.h"
 #include "common/status.h"
 
 namespace t3 {
@@ -41,6 +42,17 @@ inline bool GoesLeft(const TreeNode& node, double x) {
 /// Walks one tree from the root; returns the reached leaf's value.
 double PredictTree(const Tree& tree, const double* row);
 
+/// What one model prediction stands for. The integer values are the wire
+/// format of the "t3model target <n>" line that opens a model file
+/// (data/model_*.txt); the forest reader rejects any other id.
+enum class PredictionTarget {
+  kPerTuple = 0,    ///< Main T3 model: time to push one tuple through a
+                    ///  pipeline; multiply by input cardinality.
+  kPerPipeline = 1, ///< Ablation: total pipeline time directly.
+  kPerQuery = 2,    ///< Ablation / AutoWLM-like: whole-query time from one
+                    ///  per-query feature vector.
+};
+
 /// A gradient-boosted forest of regression trees.
 /// Prediction = base_score + sum of per-tree leaf values, in tree order.
 struct Forest {
@@ -71,30 +83,49 @@ struct Forest {
   std::string ToText() const;
 
   /// Parses ToText output and rejects invalid forests (see Validate).
-  /// Tolerates a leading "t3model target <n>" line so the forest inside a
-  /// T3 model file (data/model_*.txt) loads directly.
-  static Result<Forest> FromText(std::string_view text);
+  /// Reads a leading "t3model target <n>" line, so the forest inside a T3
+  /// model file (data/model_*.txt) loads directly; `target`, when given,
+  /// receives <n> (kPerTuple without the line). A malformed line or an id
+  /// outside PredictionTarget is an error.
+  static Result<Forest> FromText(std::string_view text,
+                                 PredictionTarget* target = nullptr);
 
   /// FromText without the Validate gate: syntactic parse only. For tools
   /// that want to *report* on a corrupt model (t3_lint runs the full
   /// analysis::ForestVerifier over the result) instead of stopping at the
   /// first invariant violation. Never feed an unvalidated forest to an
   /// evaluator.
-  static Result<Forest> ParseTextUnvalidated(std::string_view text);
+  static Result<Forest> ParseTextUnvalidated(
+      std::string_view text, PredictionTarget* target = nullptr);
 
   Status SaveToFile(const std::string& path) const;
   static Result<Forest> LoadFromFile(const std::string& path);
 
-  /// Structural and semantic validation, the loader's reject gate: node
-  /// indices in range, every node reachable exactly once (no cycles, no
-  /// sharing, no orphans), leaf count = inner count + 1, features within
-  /// num_features, thresholds / leaf values / base_score finite. Mirrors
-  /// the Error-severity checks of analysis::ForestVerifier (which reports
-  /// every finding instead of stopping at the first, and adds
-  /// warning-level lints on top); the two are kept in lockstep by
-  /// tests/analysis_test.cc.
+  /// The loader's reject gate: CheckForestHeader and CheckTreeStructure
+  /// over every tree, as a Status carrying the first error
+  /// ("error[bad-feature-index] tree 0 node 0: ...").
   Status Validate() const;
 };
+
+/// The forest's structural and semantic Error checks, the one copy behind
+/// both Forest::Validate and analysis::ForestVerifier. Each appends one
+/// Error diagnostic per finding and keeps going.
+///
+/// Header checks: `bad-num-features` (num_features <= 0) and
+/// `nonfinite-base-score`.
+void CheckForestHeader(const Forest& forest, AnalysisReport* report);
+
+/// Checks of tree `tree_index`: `empty-tree`, `bad-feature-index` (split
+/// feature outside [0, num_features)), `nonfinite-threshold` /
+/// `nonfinite-leaf-value`, `missing-child` (a child index outside the node
+/// array, including -1), `leaf-count-mismatch` (leaves != inner + 1),
+/// `node-shared` (a node reached twice from the root: a cycle or a
+/// diamond) and `orphan-node` (a node the root cannot reach). Returns true
+/// when the tree is walkable: every node is reached exactly once through
+/// in-range children, and every split has an in-range feature and a finite
+/// threshold (what ForestVerifier's interval walk needs).
+bool CheckTreeStructure(const Forest& forest, int tree_index,
+                        AnalysisReport* report);
 
 /// How often each feature index appears as a split across the forest, a
 /// size-num_features histogram. The feature-importance proxy the ablation

@@ -16,7 +16,7 @@ Status ParseError(const std::string& path, const TextReader& reader,
 }
 
 Status ParsePipelineFeatures(const std::string& path, TextReader* reader,
-                             PipelineFeatures* features) {
+                             PipelineFeatureVector* features) {
   size_t dim = 0, nnz = 0;
   if (!reader->Int(&features->pipeline) ||
       !reader->FiniteDouble(&features->input_cardinality) || !reader->Count(&dim) ||
@@ -37,7 +37,7 @@ Status ParsePipelineFeatures(const std::string& path, TextReader* reader,
 }
 
 void AppendPipelineFeatures(std::string* out, const char* tag,
-                            const PipelineFeatures& features) {
+                            const PipelineFeatureVector& features) {
   size_t nnz = 0;
   for (double v : features.values) nnz += v != 0.0 ? 1 : 0;
   out->append(StrFormat("%s %d ", tag, features.pipeline));

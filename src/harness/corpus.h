@@ -6,23 +6,10 @@
 #include <vector>
 
 #include "common/status.h"
+#include "features/featurizer.h"
 #include "plan/plan_record.h"
 
 namespace t3 {
-
-// Defined in src/storage and src/querygen (pending reconstruction; see
-// README "Reconstruction status"). bench_util.h's JobWorkload only needs
-// the declarations.
-class Database;
-struct GeneratedQuery;
-
-/// Feature vector of one pipeline of one executed query ("FT"/"FE" corpus
-/// lines — features under true resp. estimated cardinalities).
-struct PipelineFeatures {
-  int pipeline = 0;                ///< Pipeline index within the query.
-  double input_cardinality = 0.0;  ///< Tuples entering the pipeline.
-  std::vector<double> values;      ///< Dense feature vector.
-};
 
 /// Measured times of one pipeline ("P" lines): per-run seconds + median.
 struct PipelineTiming {
@@ -51,8 +38,10 @@ struct QueryRecord {
   std::vector<PlanNodeRecord> plan_nodes;
   std::vector<double> total_run_seconds;      ///< "T" line, `runs` values.
   std::vector<PipelineTiming> pipeline_times; ///< One per pipeline.
-  std::vector<PipelineFeatures> feat_true;    ///< Features, true cards.
-  std::vector<PipelineFeatures> feat_est;     ///< Features, estimated cards.
+  /// "FT"/"FE" lines: per-pipeline features under true resp. estimated
+  /// cardinalities.
+  std::vector<PipelineFeatureVector> feat_true;
+  std::vector<PipelineFeatureVector> feat_est;
 };
 
 /// A benchmarked query corpus (data/corpus_*.txt): the shared training and

@@ -41,10 +41,10 @@ std::vector<const QueryRecord*> SelectRecords(
 
 std::vector<double> SummedQueryFeatures(const QueryRecord& record,
                                         CardinalityMode mode) {
-  const std::vector<PipelineFeatures>& features_set =
+  const std::vector<PipelineFeatureVector>& features_set =
       mode == CardinalityMode::kTrue ? record.feat_true : record.feat_est;
   std::vector<double> summed;
-  for (const PipelineFeatures& features : features_set) {
+  for (const PipelineFeatureVector& features : features_set) {
     if (features.values.empty()) continue;
     if (summed.empty()) {
       summed = features.values;
@@ -65,10 +65,10 @@ double PredictQuerySeconds(const T3Model& model, const QueryRecord& record,
     if (summed.empty()) return 0.0;
     return model.PredictPipelineSeconds(summed.data(), 0.0);
   }
-  const std::vector<PipelineFeatures>& features_set =
+  const std::vector<PipelineFeatureVector>& features_set =
       mode == CardinalityMode::kTrue ? record.feat_true : record.feat_est;
   double total = 0.0;
-  for (const PipelineFeatures& features : features_set) {
+  for (const PipelineFeatureVector& features : features_set) {
     total += model.PredictPipelineSeconds(features.values.data(),
                                           features.input_cardinality);
   }

@@ -16,25 +16,6 @@
 #include "querygen/suites.h"
 
 namespace t3 {
-namespace {
-
-/// Copies featurizer vectors into the corpus representation.
-std::vector<PipelineFeatures> ToCorpusFeatures(
-    const std::vector<PipelineFeatureVector>& vectors) {
-  std::vector<PipelineFeatures> out;
-  out.reserve(vectors.size());
-  for (const PipelineFeatureVector& vector : vectors) {
-    PipelineFeatures features;
-    features.pipeline = vector.pipeline;
-    features.input_cardinality = vector.input_cardinality;
-    features.values = vector.values;
-    out.push_back(std::move(features));
-  }
-  return out;
-}
-
-}  // namespace
-
 Result<Database> GenerateDatabase(const std::string& instance, uint64_t seed,
                                   double scale_override, ThreadPool* pool) {
   Result<const InstanceSpec*> spec = FindInstance(instance);
@@ -122,8 +103,8 @@ Result<QueryRecord> BenchmarkQuery(const Database& db,
     timing.run_seconds = std::move(pipeline_seconds[p]);
     record.pipeline_times.push_back(std::move(timing));
   }
-  record.feat_true = ToCorpusFeatures(*feat_true);
-  record.feat_est = ToCorpusFeatures(*feat_est);
+  record.feat_true = *std::move(feat_true);
+  record.feat_est = *std::move(feat_est);
   return record;
 }
 

@@ -41,9 +41,9 @@ void FillSlot(const RowSlot& slot, CardinalityMode mode,
         record.total_run_seconds, record.median_seconds, runs_limit));
   } else {
     const size_t p = static_cast<size_t>(slot.pipeline);
-    const std::vector<PipelineFeatures>& features_set =
+    const std::vector<PipelineFeatureVector>& features_set =
         mode == CardinalityMode::kTrue ? record.feat_true : record.feat_est;
-    const PipelineFeatures& features = features_set[p];
+    const PipelineFeatureVector& features = features_set[p];
     std::copy(features.values.begin(), features.values.end(), row_out);
     double seconds = record.median_seconds;
     if (p < record.pipeline_times.size()) {
@@ -79,7 +79,7 @@ Result<TrainingMatrix> BuildTrainingMatrix(const Corpus& corpus,
   std::vector<RowSlot> slots;
   for (const QueryRecord& record : corpus.records) {
     if (train_filter ? !train_filter(record) : record.is_test) continue;
-    const std::vector<PipelineFeatures>& features_set =
+    const std::vector<PipelineFeatureVector>& features_set =
         mode == CardinalityMode::kTrue ? record.feat_true : record.feat_est;
     if (per_query) {
       const std::vector<double> summed = SummedQueryFeatures(record, mode);

@@ -14,35 +14,8 @@ Status T3Model::SaveToFile(const std::string& path) const {
 Result<T3Model> T3Model::LoadFromFile(const std::string& path) {
   Result<std::string> content = ReadFileToString(path);
   if (!content.ok()) return content.status();
-  std::string_view text = *content;
-
   PredictionTarget target = PredictionTarget::kPerTuple;
-  const std::string_view header = "t3model target ";
-  if (text.substr(0, header.size()) == header) {
-    const size_t value_pos = header.size();
-    const size_t line_end = text.find('\n', value_pos);
-    if (line_end == std::string_view::npos) {
-      return InvalidArgumentError("truncated t3model header");
-    }
-    const std::string_view value =
-        text.substr(value_pos, line_end - value_pos);
-    int64_t id = 0;
-    // Strict whole-string parse: "2x" or "" must be rejected, not silently
-    // truncated to a valid target id (std::atoi did exactly that).
-    if (!ParseInt64(value, &id)) {
-      return InvalidArgumentError(
-          StrFormat("malformed t3model target '%.*s'",
-                    static_cast<int>(value.size()), value.data()));
-    }
-    if (id < 0 || id > 2) {
-      return InvalidArgumentError(StrFormat(
-          "unknown model target %lld", static_cast<long long>(id)));
-    }
-    target = static_cast<PredictionTarget>(id);
-    text.remove_prefix(line_end + 1);
-  }
-
-  Result<Forest> forest = Forest::FromText(text);
+  Result<Forest> forest = Forest::FromText(*content, &target);
   if (!forest.ok()) return forest.status();
   return T3Model(*std::move(forest), target);
 }

@@ -10,16 +10,6 @@
 
 namespace t3 {
 
-/// What one model prediction stands for. The integer values are the wire
-/// format of the "t3model target <n>" file header (data/model_*.txt).
-enum class PredictionTarget {
-  kPerTuple = 0,    ///< Main T3 model: time to push one tuple through a
-                    ///  pipeline; multiply by input cardinality.
-  kPerPipeline = 1, ///< Ablation: total pipeline time directly.
-  kPerQuery = 2,    ///< Ablation / AutoWLM-like: whole-query time from one
-                    ///  per-query feature vector.
-};
-
 /// Floor for measured times entering the log transform.
 inline constexpr double kMinSeconds = 1e-12;
 
@@ -32,8 +22,9 @@ inline double TransformTarget(double seconds) {
 /// Inverse of TransformTarget: model output back to seconds.
 inline double InverseTransformTarget(double y) { return std::exp(-y); }
 
-/// A trained T3 predictor: a GBDT forest plus the semantics of its output.
-/// Serialized as the forest's text format behind a one-line header:
+/// A trained T3 predictor: a GBDT forest plus the semantics of its output
+/// (PredictionTarget, gbt/forest.h). Serialized as the forest's text format
+/// behind a one-line header, which Forest::FromText reads:
 ///
 ///   t3model target 0
 ///   t3gbt v1

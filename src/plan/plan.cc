@@ -238,94 +238,172 @@ double ColumnTypeWidthBytes(ColumnType type) {
   return type == ColumnType::kString ? 16.0 : 8.0;
 }
 
-Status ValidatePlan(const PhysicalPlan& plan) {
-  if (plan.nodes.empty()) return InvalidArgumentError("plan: no nodes");
+namespace {
+
+void CheckAnnotations(AnalysisReport* report, int id, const PlanNode& node) {
+  if (!std::isfinite(node.cardinality) || node.cardinality < 0.0) {
+    report->Add(Severity::kError, "plan-annotation", -1, id,
+                StrFormat("cardinality %g must be finite and non-negative",
+                          node.cardinality));
+  }
+  if (!std::isfinite(node.width) || node.width < 0.0) {
+    report->Add(Severity::kError, "plan-annotation", -1, id,
+                StrFormat("width %g must be finite and non-negative",
+                          node.width));
+  }
+  if (!std::isfinite(node.extra)) {
+    report->Add(Severity::kError, "plan-annotation", -1, id,
+                StrFormat("extra %g must be finite", node.extra));
+  }
+}
+
+/// Child-reference check under children-before-parents order. Returns true
+/// when `child` is a usable back reference.
+bool CheckChildRef(AnalysisReport* report, int id, int child,
+                   const char* which, int num_nodes) {
+  if (child < 0 || child >= num_nodes) {
+    report->Add(Severity::kError, "plan-topology", -1, id,
+                StrFormat("%s child %d out of range [0, %d)", which, child,
+                          num_nodes));
+    return false;
+  }
+  if (child >= id) {
+    report->Add(
+        Severity::kError, "plan-topology", -1, id,
+        StrFormat("%s child %d does not precede the node (a cycle under "
+                  "children-before-parents order)",
+                  which, child));
+    return false;
+  }
+  return true;
+}
+
+/// Arity + topology of one node; increments consumer counts for usable
+/// child references.
+void CheckShape(AnalysisReport* report, int id, const PlanNode& node,
+                int num_nodes, std::vector<int>* consumers) {
+  if (node.op == PlanOp::kScan) {
+    if (node.left != -1 || node.right != -1) {
+      report->Add(Severity::kError, "plan-arity", -1, id,
+                  "scan must not have inputs");
+    }
+    return;
+  }
+  if (node.op == PlanOp::kHashJoin) {
+    const bool left_ok =
+        CheckChildRef(report, id, node.left, "probe", num_nodes);
+    const bool right_ok =
+        CheckChildRef(report, id, node.right, "build", num_nodes);
+    if (left_ok && right_ok && node.left == node.right) {
+      report->Add(Severity::kError, "plan-arity", -1, id,
+                  "join sides must differ");
+    }
+    if (left_ok) ++(*consumers)[static_cast<size_t>(node.left)];
+    if (right_ok && node.left != node.right) {
+      ++(*consumers)[static_cast<size_t>(node.right)];
+    }
+    return;
+  }
+  if (CheckChildRef(report, id, node.left, "unary", num_nodes)) {
+    ++(*consumers)[static_cast<size_t>(node.left)];
+  }
+  if (node.right != -1) {
+    report->Add(Severity::kError, "plan-arity", -1, id,
+                StrFormat("unary operator with a right child %d", node.right));
+  }
+}
+
+/// Payload-shape legality (type checks happen against the catalog at
+/// execution). Skeletons satisfy these by construction.
+void CheckPayload(AnalysisReport* report, int id, const PlanNode& node,
+                  bool is_root) {
+  switch (node.op) {
+    case PlanOp::kFilter:
+      if (node.predicates.empty()) {
+        report->Add(Severity::kError, "plan-payload", -1, id,
+                    "filter with no predicates");
+      }
+      for (const FilterPredicate& predicate : node.predicates) {
+        if (!std::isfinite(predicate.constant)) {
+          report->Add(Severity::kError, "plan-payload", -1, id,
+                      "predicate constant must be finite");
+        }
+      }
+      break;
+    case PlanOp::kHashJoin:
+      if (node.left_keys.empty() ||
+          node.left_keys.size() != node.right_keys.size()) {
+        report->Add(Severity::kError, "plan-payload", -1, id,
+                    "join keys must pair up and be non-empty");
+      }
+      break;
+    case PlanOp::kHashAggregate:
+      if (node.group_by.empty() && node.aggregates.empty()) {
+        report->Add(Severity::kError, "plan-payload", -1, id,
+                    "aggregate with no groups and no aggregates");
+      }
+      break;
+    case PlanOp::kSort:
+      if (node.sort_keys.empty()) {
+        report->Add(Severity::kError, "plan-payload", -1, id,
+                    "sort with no keys");
+      }
+      break;
+    case PlanOp::kLimit:
+      if (node.limit < 0) {
+        report->Add(Severity::kError, "plan-payload", -1, id,
+                    "negative limit");
+      }
+      break;
+    case PlanOp::kOutput:
+      if (!is_root) {
+        report->Add(Severity::kError, "plan-root", -1, id,
+                    "output below the root");
+      }
+      break;
+    case PlanOp::kScan:
+    case PlanOp::kProject:
+      break;
+  }
+}
+
+}  // namespace
+
+void CheckPlanStructure(const PhysicalPlan& plan, AnalysisReport* report) {
+  if (plan.nodes.empty()) {
+    report->Add(Severity::kError, "plan-empty", -1, -1, "plan has no nodes");
+    return;
+  }
   const int n = static_cast<int>(plan.nodes.size());
   std::vector<int> consumers(plan.nodes.size(), 0);
   for (int i = 0; i < n; ++i) {
     const PlanNode& node = plan.nodes[static_cast<size_t>(i)];
-    auto err = [&](const std::string& message) {
-      return InvalidArgumentError(StrFormat("plan node %d (%s): %s", i,
-                                            PlanOpName(node.op),
-                                            message.c_str()));
-    };
     if (!IsPlanOpCode(static_cast<int>(node.op))) {
-      return InvalidArgumentError(
-          StrFormat("plan node %d: unknown op code %d", i,
-                    static_cast<int>(node.op)));
+      report->Add(Severity::kError, "plan-op", -1, i,
+                  StrFormat("unknown op code %d", static_cast<int>(node.op)));
+      continue;
     }
-    // Arity + children strictly before parents.
-    const bool is_leaf = node.op == PlanOp::kScan;
-    const bool is_binary = node.op == PlanOp::kHashJoin;
-    if (is_leaf) {
-      if (node.left != -1 || node.right != -1) return err("scan has inputs");
-    } else if (is_binary) {
-      if (node.left < 0 || node.left >= i || node.right < 0 ||
-          node.right >= i || node.left == node.right) {
-        return err("bad join children");
-      }
-    } else {
-      if (node.left < 0 || node.left >= i || node.right != -1) {
-        return err("bad unary input");
-      }
-    }
-    if (node.left >= 0) ++consumers[static_cast<size_t>(node.left)];
-    if (node.right >= 0) ++consumers[static_cast<size_t>(node.right)];
-
-    if (!std::isfinite(node.cardinality) || node.cardinality < 0.0) {
-      return err("cardinality must be finite and non-negative");
-    }
-    if (!std::isfinite(node.width) || node.width < 0.0) {
-      return err("width must be finite and non-negative");
-    }
-    if (!std::isfinite(node.extra)) return err("extra must be finite");
-
-    // Payload shape (type checks happen against the catalog at execution).
-    switch (node.op) {
-      case PlanOp::kFilter:
-        if (node.predicates.empty()) return err("filter with no predicates");
-        for (const FilterPredicate& predicate : node.predicates) {
-          if (!std::isfinite(predicate.constant)) {
-            return err("predicate constant must be finite");
-          }
-        }
-        break;
-      case PlanOp::kHashJoin:
-        if (node.left_keys.empty() ||
-            node.left_keys.size() != node.right_keys.size()) {
-          return err("join keys must pair up and be non-empty");
-        }
-        break;
-      case PlanOp::kHashAggregate:
-        if (node.group_by.empty() && node.aggregates.empty()) {
-          return err("aggregate with no groups and no aggregates");
-        }
-        break;
-      case PlanOp::kSort:
-        if (node.sort_keys.empty()) return err("sort with no keys");
-        break;
-      case PlanOp::kLimit:
-        if (node.limit < 0) return err("negative limit");
-        break;
-      case PlanOp::kOutput:
-        if (i != n - 1) return err("output below the root");
-        break;
-      case PlanOp::kScan:
-      case PlanOp::kProject:
-        break;
-    }
+    CheckShape(report, i, node, n, &consumers);
+    CheckAnnotations(report, i, node);
+    CheckPayload(report, i, node, /*is_root=*/i == n - 1);
   }
   if (plan.nodes.back().op != PlanOp::kOutput) {
-    return InvalidArgumentError("plan: root must be the output node");
+    report->Add(Severity::kError, "plan-root", -1, n - 1,
+                "root must be the output node");
   }
   for (int i = 0; i < n - 1; ++i) {
     if (consumers[static_cast<size_t>(i)] != 1) {
-      return InvalidArgumentError(StrFormat(
-          "plan node %d: consumed %d times (plans are trees)", i,
-          consumers[static_cast<size_t>(i)]));
+      report->Add(Severity::kError, "plan-consumer", -1, i,
+                  StrFormat("consumed %d times (plans are trees)",
+                            consumers[static_cast<size_t>(i)]));
     }
   }
-  return Status::OK();
+}
+
+Status ValidatePlan(const PhysicalPlan& plan) {
+  AnalysisReport report;
+  CheckPlanStructure(plan, &report);
+  return report.ToStatus();
 }
 
 std::vector<PlanNodeRecord> PlanToRecords(const PhysicalPlan& plan) {
@@ -345,16 +423,29 @@ std::vector<PlanNodeRecord> PlanToRecords(const PhysicalPlan& plan) {
   return records;
 }
 
-Result<PhysicalPlan> PlanFromRecords(
-    const std::vector<PlanNodeRecord>& records) {
+namespace {
+
+/// A skeleton sizes its placeholder payloads from `extra`, and plan text
+/// arrives from the network, so a count must be a whole number no larger
+/// than this. 16 placeholders of the largest kind (FilterPredicate) take
+/// no more room than the PlanNode holding them; every count in the
+/// checked-in plans and corpora is at most 8, and generated tables have at
+/// most 8 columns.
+constexpr double kMaxSkeletonCount = 16;
+static_assert(kMaxSkeletonCount * sizeof(FilterPredicate) <=
+              sizeof(PlanNode));
+
+/// 2^63: a limit `extra` must lie in [-2^63, 2^63) to convert to int64_t.
+constexpr double kInt64Bound = 9223372036854775808.0;
+
+}  // namespace
+
+PhysicalPlan PlanSkeletonFromRecords(
+    const std::vector<PlanNodeRecord>& records, AnalysisReport* report) {
   PhysicalPlan plan;
   plan.nodes.reserve(records.size());
   for (size_t i = 0; i < records.size(); ++i) {
     const PlanNodeRecord& record = records[i];
-    if (!IsPlanOpCode(record.op)) {
-      return InvalidArgumentError(StrFormat(
-          "plan record %zu: unknown op code %d", i, record.op));
-    }
     PlanNode node;
     node.op = static_cast<PlanOp>(record.op);
     node.left = record.left;
@@ -363,46 +454,68 @@ Result<PhysicalPlan> PlanFromRecords(
     node.extra = record.extra;
     node.width = record.width;
     node.stage = record.stage;
-    // Rehydrate the payload shape ValidatePlan checks from `extra` so a
-    // skeleton passes structural validation (contents stay unknown).
-    switch (node.op) {
-      case PlanOp::kFilter:
-        node.predicates.resize(
-            record.extra >= 1.0 ? static_cast<size_t>(record.extra) : 1);
-        break;
-      case PlanOp::kHashJoin: {
-        const size_t keys =
-            record.extra >= 1.0 ? static_cast<size_t>(record.extra) : 1;
-        node.left_keys.resize(keys);
-        node.right_keys.resize(keys);
-        break;
+    plan.nodes.push_back(std::move(node));
+    PlanNode& skeleton = plan.nodes.back();
+    if (!IsPlanOpCode(record.op) || skeleton.op == PlanOp::kOutput) continue;
+
+    // Size the placeholder payloads CheckPayload looks at from `extra`;
+    // their contents stay unknown.
+    const double extra = record.extra;
+    const int id = static_cast<int>(i);
+    if (skeleton.op == PlanOp::kLimit) {
+      if (extra >= -kInt64Bound && extra < kInt64Bound) {
+        skeleton.limit = static_cast<int64_t>(extra);
+      } else {
+        report->Add(Severity::kError, "plan-annotation", -1, id,
+                    StrFormat("limit %g outside the int64 range", extra));
       }
+      continue;
+    }
+    if (!(extra >= 0.0 && extra <= kMaxSkeletonCount &&
+          extra == std::floor(extra))) {
+      report->Add(Severity::kError, "plan-annotation", -1, id,
+                  StrFormat("extra %g must be a whole count in [0, %g]",
+                            extra, kMaxSkeletonCount));
+      continue;
+    }
+    const size_t count = static_cast<size_t>(extra);
+    const size_t at_least_one = std::max<size_t>(count, 1);
+    switch (skeleton.op) {
+      case PlanOp::kFilter:
+        skeleton.predicates.resize(at_least_one);
+        break;
+      case PlanOp::kHashJoin:
+        skeleton.left_keys.resize(at_least_one);
+        skeleton.right_keys.resize(at_least_one);
+        break;
       case PlanOp::kHashAggregate:
-        if (record.extra >= 1.0) {
-          node.group_by.resize(static_cast<size_t>(record.extra));
+        if (count > 0) {
+          skeleton.group_by.resize(count);
         } else {
-          node.aggregates.resize(1);
+          skeleton.aggregates.resize(1);
         }
         break;
       case PlanOp::kSort:
-        node.sort_keys.resize(
-            record.extra >= 1.0 ? static_cast<size_t>(record.extra) : 1);
-        break;
-      case PlanOp::kLimit:
-        node.limit = static_cast<int64_t>(record.extra);
+        skeleton.sort_keys.resize(at_least_one);
         break;
       case PlanOp::kScan:
       case PlanOp::kProject:
-        node.columns.resize(static_cast<size_t>(
-            record.extra >= 0.0 ? record.extra : 0.0));
+        skeleton.columns.resize(count);
         break;
+      case PlanOp::kLimit:
       case PlanOp::kOutput:
         break;
     }
-    plan.nodes.push_back(std::move(node));
   }
-  Status status = ValidatePlan(plan);
-  if (!status.ok()) return status;
+  return plan;
+}
+
+Result<PhysicalPlan> PlanFromRecords(
+    const std::vector<PlanNodeRecord>& records) {
+  AnalysisReport report;
+  PhysicalPlan plan = PlanSkeletonFromRecords(records, &report);
+  if (!report.HasErrors()) CheckPlanStructure(plan, &report);
+  if (report.HasErrors()) return report.ToStatus();
   return plan;
 }
 

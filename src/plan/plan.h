@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/report.h"
 #include "common/status.h"
 #include "plan/plan_record.h"
 #include "storage/catalog.h"
@@ -101,10 +102,26 @@ struct PhysicalPlan {
   int root() const { return static_cast<int>(nodes.size()) - 1; }
 };
 
-/// Structural validation: children-before-parents indices, per-op arity,
-/// exactly one kOutput at the root, every non-root node consumed exactly
-/// once, finite non-negative annotations, well-formed payloads. Execution
-/// additionally type-checks payloads against the catalog.
+/// The structural checks of a plan, the one copy behind ValidatePlan and
+/// analysis::PlanVerifier. Appends one Error per finding (`node` = plan
+/// node index) and keeps going:
+///   plan-empty      — the plan has no nodes.
+///   plan-op         — unknown operator code.
+///   plan-arity      — wrong child count for the operator.
+///   plan-topology   — child reference out of range, or at or above the
+///                     node (a cycle under children-before-parents order).
+///   plan-annotation — non-finite or negative cardinality/width, or
+///                     non-finite extra.
+///   plan-payload    — payload shape invalid for the op (empty predicate
+///                     list, unpaired join keys, negative limit, ...).
+///   plan-root       — the root is not kOutput, or kOutput appears below it.
+///   plan-consumer   — a non-root node consumed != exactly once.
+/// Execution additionally type-checks payloads against the catalog
+/// (ResolvePlanSchemas).
+void CheckPlanStructure(const PhysicalPlan& plan, AnalysisReport* report);
+
+/// The gate in front of every plan consumer: CheckPlanStructure as a
+/// Status carrying the first error ("error[plan-topology] node 1: ...").
 Status ValidatePlan(const PhysicalPlan& plan);
 
 /// The `extra` annotation a node's payload implies: kScan/kProject = output
@@ -118,9 +135,19 @@ double PlanNodeExtra(const PlanNode& node);
 /// order). `extra` per op follows PlanNodeExtra.
 std::vector<PlanNodeRecord> PlanToRecords(const PhysicalPlan& plan);
 
-/// Rebuilds a *skeleton* plan (ops, structure, annotations — no payloads)
-/// from corpus rows, validating structure. Round-trips with PlanToRecords:
-/// PlanToRecords(*PlanFromRecords(r)) == r for any r it accepts.
+/// Rebuilds a *skeleton* plan (ops, structure, annotations; placeholder
+/// payloads sized from `extra`, contents unknown) from corpus rows, without
+/// the structural gate. The one check made here is the one sizing needs:
+/// a `plan-annotation` Error in `report` for a count-type extra that is not
+/// a whole number in [0, 16], or a kLimit extra outside the int64_t range;
+/// such a node gets no placeholders. Use the plan only when `report` holds
+/// no errors.
+PhysicalPlan PlanSkeletonFromRecords(const std::vector<PlanNodeRecord>& records,
+                                     AnalysisReport* report);
+
+/// PlanSkeletonFromRecords followed by ValidatePlan. Round-trips with
+/// PlanToRecords: PlanToRecords(*PlanFromRecords(r)) == r for any r it
+/// accepts.
 Result<PhysicalPlan> PlanFromRecords(const std::vector<PlanNodeRecord>& records);
 
 /// Indented one-node-per-line rendering for logs and tests.

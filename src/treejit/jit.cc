@@ -481,7 +481,7 @@ Result<std::unique_ptr<CompiledForest>> CompiledForest::Compile(
   Result<JitArtifact> artifact = EmitForestCode(forest);
   if (!artifact.ok()) return artifact.status();
 
-  if (options.audit) {
+  if (options.verify) {
     // Static proof over the exact bytes about to be mapped executable: only
     // whitelisted instructions, branch targets on instruction boundaries
     // inside the tree's own code, feature loads inside the row. An audit
@@ -495,9 +495,6 @@ Result<std::unique_ptr<CompiledForest>> CompiledForest::Compile(
           StrFormat("JIT audit rejected emitted code: %s",
                     report.ToStatus().message().c_str()));
     }
-  }
-
-  if (options.validate_translation) {
     // Static equivalence proof over the same bytes: lift the emitted code
     // back into decision trees and show they compute exactly `forest`
     // (bit-equal thresholds/leaves, identical NaN routing, pointwise-equal
@@ -530,7 +527,7 @@ Result<std::unique_ptr<CompiledForest>> CompiledForest::Compile(
     Result<BatchJitArtifact> batch = EmitForestBatchCode(forest);
     if (!batch.ok()) return batch.status();
 
-    if (options.audit) {
+    if (options.verify) {
       // Same pre-mapping discipline as the scalar code: prove every lane
       // load, spill slot and pool reference in bounds and the control flow
       // straight-line before any byte becomes executable.
@@ -542,12 +539,9 @@ Result<std::unique_ptr<CompiledForest>> CompiledForest::Compile(
             StrFormat("batch JIT audit rejected emitted code: %s",
                       report.ToStatus().message().c_str()));
       }
-    }
-
-    if (options.validate_batch) {
       // Lift each vector kernel back into a decision tree and prove it
       // computes the source forest (structure + per-cell semantics), per
-      // lane — the batch analogue of validate_translation.
+      // lane — the batch analogue of the TranslationValidator proof.
       const AnalysisReport equivalence = BatchEquivalenceValidator().Validate(
           forest, batch->code.data(), batch->code.size(), batch->entries,
           batch->pool_begin);
@@ -569,7 +563,7 @@ Result<std::unique_ptr<CompiledForest>> CompiledForest::Compile(
           static_cast<uint8_t*>(compiled->batch_code_) + entry));
     }
 
-    if (options.validate_batch) {
+    if (options.verify) {
       // Belt and braces after mapping: run the mapped kernels themselves
       // over one witness row per leaf cell and bit-compare against the
       // scalar path. (Exercises the real dispatch only where the runtime

@@ -60,43 +60,31 @@ bool BatchJitSupported();
 
 /// Knobs for CompiledForest::Compile.
 struct JitCompileOptions {
-  /// Run the JitCodeAuditor over the emitted bytes before mapping them
-  /// executable; Compile fails with InternalError when the audit finds an
-  /// Error. On by default in debug builds; release callers opt in (the
-  /// audit is a few linear passes over the code — cheap, but not free on
-  /// the model-reload path).
+  /// Prove the emitted code before mapping it executable; Compile fails
+  /// with InternalError on any finding (an emitter bug, never a property of
+  /// the already validated forest). The proofs:
+  ///  - JitCodeAuditor over the scalar code: only whitelisted
+  ///    instructions, branch targets on instruction boundaries inside the
+  ///    tree's own code, feature loads inside the row;
+  ///  - TranslationValidator: lift the scalar code back into decision trees
+  ///    and prove structural + semantic equivalence to the source forest;
+  ///  - for the batch kernels, JitCodeAuditor::AuditBatch (lane-load
+  ///    bounds, frame discipline, straight-line control flow) and
+  ///    BatchEquivalenceValidator (per-lane lift-and-prove), plus an
+  ///    exhaustive per-cell differential check of the mapped kernels
+  ///    against the scalar path.
+  /// On by default in debug builds; release callers opt in (roughly one
+  /// interval walk per leaf: well under a model load, but not free on the
+  /// model-reload path).
 #ifdef NDEBUG
-  bool audit = false;
+  bool verify = false;
 #else
-  bool audit = true;
-#endif
-  /// Run the TranslationValidator over the emitted bytes: lift them back
-  /// into decision trees and prove structural + semantic equivalence to the
-  /// source forest (see analysis/translation_validator.h). Compile fails
-  /// with InternalError on any inequivalence. On by default in debug
-  /// builds; release callers opt in (cost is roughly one interval walk per
-  /// leaf — heavier than the audit, still well under a model load).
-#ifdef NDEBUG
-  bool validate_translation = false;
-#else
-  bool validate_translation = true;
+  bool verify = true;
 #endif
   /// Also compile the AVX batch kernels (a no-op when BatchJitSupported()
   /// is false). Off pins PredictBatch to the portable per-row path — the
   /// scalar reference the dispatch tests compare against.
   bool enable_batch = true;
-  /// Run the batch-kernel analysis stack over the emitted batch code before
-  /// mapping it: JitCodeAuditor::AuditBatch (lane-load bounds, frame
-  /// discipline, straight-line control flow) and BatchEquivalenceValidator
-  /// (lift the kernel back to a tree, prove it equals the forest per cell),
-  /// plus an exhaustive per-cell differential check of the mapped kernels
-  /// against the scalar path. Same debug-on contract as
-  /// validate_translation.
-#ifdef NDEBUG
-  bool validate_batch = false;
-#else
-  bool validate_batch = true;
-#endif
 };
 
 /// A forest compiled to native x86-64 machine code, the paper's core

@@ -195,17 +195,6 @@ TEST(ForestVerifierTest, WarnsOnDuplicateThreshold) {
   EXPECT_TRUE(HasWarning(report, "dead-branch"));
 }
 
-TEST(ForestVerifierTest, WarningPassesCanBeDisabled) {
-  const Forest forest = OneTreeForest(
-      {Inner(0, 0.5, 1, 2), Inner(0, 0.8, 3, 4), Leaf(1.0), Leaf(2.0),
-       Leaf(3.0)});
-  VerifyOptions options;
-  options.warn_dead_branches = false;
-  options.warn_duplicate_thresholds = false;
-  options.warn_inconsistent_nan_routing = false;
-  EXPECT_TRUE(ForestVerifier(options).Verify(forest).empty());
-}
-
 TEST(ForestVerifierTest, AcceptsTrainedForestAndFixture) {
   Rng rng(7);
   std::vector<double> rows(300 * 3);
@@ -569,14 +558,14 @@ TEST_F(JitCodeAuditorCorruptionTest, TruncatedBufferIsRejected) {
   EXPECT_TRUE(report.HasErrors());
 }
 
-// Compile(audit=on) is the production wiring of the auditor: it must stay
+// Compile(verify=on) is the production wiring of the auditor: it must stay
 // invisible for healthy forests (bit-identical predictions, no failures).
 TEST(JitAuditWiringTest, AuditedCompileMatchesInterpreter) {
   if (!JitSupported()) GTEST_SKIP() << "no x86-64 emitter on this host";
   Rng rng(99);
   const Forest forest = RandomValidForest(&rng);
   JitCompileOptions options;
-  options.audit = true;
+  options.verify = true;
   Result<std::unique_ptr<CompiledForest>> compiled =
       CompiledForest::Compile(forest, options);
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();

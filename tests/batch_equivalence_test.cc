@@ -14,7 +14,7 @@
 
 #include "analysis/batch_equivalence_validator.h"
 #include "analysis/jit_auditor.h"
-#include "analysis/report.h"
+#include "common/report.h"
 #include "common/random.h"
 #include "gbt/forest.h"
 #include "treejit/jit.h"
@@ -273,10 +273,8 @@ TEST(BatchEquivalenceTest, CompileWithFullValidationSucceeds) {
         &rng, num_features, 1 + static_cast<int>(rng.UniformInt(0, 4)),
         1 + static_cast<int>(rng.UniformInt(0, 4)));
     JitCompileOptions options;
-    options.audit = true;
-    options.validate_translation = true;
+    options.verify = true;
     options.enable_batch = true;
-    options.validate_batch = true;
     Result<std::unique_ptr<CompiledForest>> compiled =
         CompiledForest::Compile(forest, options);
     ASSERT_TRUE(compiled.ok())

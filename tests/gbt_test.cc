@@ -310,9 +310,12 @@ TEST(T3ModelTest, RejectsMalformedTargetHeader) {
               StatusCode::kInvalidArgument);
   }
 
+  // "7" is well-formed but names no PredictionTarget; the forest reader
+  // t3_lint uses must refuse it exactly as the loader does.
   for (const char* header : {"t3model target 2x\n", "t3model target \n",
                              "t3model target -0x1\n",
-                             "t3model target 99999999999999999999\n"}) {
+                             "t3model target 99999999999999999999\n",
+                             "t3model target 7\n", "t3model target -1\n"}) {
     const std::string path = testing::TempDir() + "/t3_model_bad_header.txt";
     ASSERT_TRUE(WriteStringToFile(path, std::string(header) +
                                             "t3gbt v1\nnum_features 1\n"
@@ -320,6 +323,10 @@ TEST(T3ModelTest, RejectsMalformedTargetHeader) {
                     .ok());
     Result<T3Model> loaded = T3Model::LoadFromFile(path);
     EXPECT_FALSE(loaded.ok()) << "header accepted: " << header;
+    Result<std::string> text = ReadFileToString(path);
+    ASSERT_TRUE(text.ok());
+    EXPECT_FALSE(Forest::ParseTextUnvalidated(*text).ok())
+        << "header parsed: " << header;
   }
 }
 

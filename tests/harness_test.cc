@@ -53,7 +53,7 @@ TEST(CorpusTest, LoadsCheckedInCorpusFixture) {
     ASSERT_EQ(record.feat_true.size(), record.pipeline_times.size());
     ASSERT_EQ(record.feat_est.size(), record.pipeline_times.size());
     ASSERT_GT(record.median_seconds, 0.0);
-    for (const PipelineFeatures& features : record.feat_true) {
+    for (const PipelineFeatureVector& features : record.feat_true) {
       ASSERT_EQ(features.values.size(), 48u);
     }
     if (record.is_test) ++test_records;
@@ -266,7 +266,7 @@ TEST(EvaluateTest, TrainedModelBeatsTrivialBaselineOnTrainSet) {
   std::vector<double> targets;
   for (const QueryRecord* record : records) {
     for (size_t p = 0; p < record->feat_true.size(); ++p) {
-      const PipelineFeatures& features = record->feat_true[p];
+      const PipelineFeatureVector& features = record->feat_true[p];
       rows.insert(rows.end(), features.values.begin(), features.values.end());
       const double tuples = std::max(features.input_cardinality, 1.0);
       targets.push_back(TransformTarget(
@@ -462,7 +462,7 @@ TEST(WorkbenchTest, CorruptCacheIsRejectedAndRetrained) {
   Result<T3Model> direct = T3Model::LoadFromFile(fixture);
   ASSERT_FALSE(direct.ok());
   EXPECT_NE(direct.status().code(), StatusCode::kNotFound);
-  EXPECT_NE(direct.status().message().find("out of range"),
+  EXPECT_NE(direct.status().message().find("error[bad-feature-index]"),
             std::string::npos)
       << direct.status().ToString();
 
@@ -598,7 +598,7 @@ TEST(EvaluateTest, EvaluateModelMatchesPerRecordReference) {
   std::vector<double> targets;
   for (const QueryRecord* record : records) {
     for (size_t p = 0; p < record->feat_true.size(); ++p) {
-      const PipelineFeatures& features = record->feat_true[p];
+      const PipelineFeatureVector& features = record->feat_true[p];
       rows.insert(rows.end(), features.values.begin(), features.values.end());
       const double tuples = std::max(features.input_cardinality, 1.0);
       targets.push_back(TransformTarget(

@@ -180,6 +180,49 @@ TEST(PlanRecordsTest, RejectsUnknownOpCode) {
   EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(PlanRecordsTest, RejectsExtraThatCannotSizeASkeleton) {
+  // scan -> filter -> output, with the filter's predicate count forged.
+  // The skeleton sizes its placeholder predicates from `extra`, so a huge
+  // or fractional count is a clean error, never an allocation.
+  PlanNodeRecord scan;
+  scan.op = static_cast<int>(PlanOp::kScan);
+  scan.cardinality = 100;
+  scan.extra = 1;
+  scan.width = 8;
+  PlanNodeRecord filter;
+  filter.op = static_cast<int>(PlanOp::kFilter);
+  filter.left = 0;
+  filter.cardinality = 50;
+  filter.width = 8;
+  PlanNodeRecord output;
+  output.op = static_cast<int>(PlanOp::kOutput);
+  output.left = 1;
+  output.cardinality = 50;
+  output.width = 8;
+  for (const double extra : {1e12, 1e18, 1e300, 2.5, -1.0}) {
+    filter.extra = extra;
+    Result<PhysicalPlan> plan = PlanFromRecords({scan, filter, output});
+    ASSERT_FALSE(plan.ok()) << "extra " << extra;
+    EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(plan.status().message().find("plan-annotation"),
+              std::string::npos)
+        << plan.status().ToString();
+  }
+  filter.extra = 3;
+  EXPECT_TRUE(PlanFromRecords({scan, filter, output}).ok());
+
+  // A limit converts to int64_t; one outside its range is rejected too.
+  PlanNodeRecord limit = filter;
+  limit.op = static_cast<int>(PlanOp::kLimit);
+  for (const double extra : {1e19, -1e19, 1e300}) {
+    limit.extra = extra;
+    EXPECT_FALSE(PlanFromRecords({scan, limit, output}).ok())
+        << "limit " << extra;
+  }
+  limit.extra = 1e18;
+  EXPECT_TRUE(PlanFromRecords({scan, limit, output}).ok());
+}
+
 TEST(PipelineTest, StreamingChainIsOnePipeline) {
   const Catalog catalog = MakeCatalog();
   PlanBuilder builder(&catalog);

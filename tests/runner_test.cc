@@ -52,7 +52,7 @@ TEST(RunnerTest, BenchmarkQueryFillsTheWholeRecord) {
   EXPECT_GE(record->pipeline_times.size(), 3u);
   ASSERT_EQ(record->feat_true.size(), record->pipeline_times.size());
   ASSERT_EQ(record->feat_est.size(), record->pipeline_times.size());
-  for (const PipelineFeatures& features : record->feat_true) {
+  for (const PipelineFeatureVector& features : record->feat_true) {
     EXPECT_EQ(features.values.size(), 48u);
     EXPECT_GT(features.input_cardinality, 0.0);
   }

@@ -336,6 +336,31 @@ TEST(PredictionServerTest, PredictPlanPrefixesAreErrorsNotCrashes) {
   (*server)->Stop();
 }
 
+TEST(PredictionServerTest, PredictPlanWithForgedCountIsAnError) {
+  // A 60-byte plan whose filter claims 10^12 predicates: the skeleton must
+  // refuse to size that many placeholders and answer kError, and the same
+  // connection must keep serving.
+  Result<std::unique_ptr<PredictionServer>> server = PredictionServer::Start(
+      MakeTestServingModel(307, 48, 4), TestServerOptions());
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  Result<PredictionClient> client =
+      PredictionClient::Connect("127.0.0.1", (*server)->port());
+  ASSERT_TRUE(client.ok());
+
+  const std::string forged =
+      "t3plan v1\nnodes 3\nN 0 -1 -1 100 1 8 0\nN 1 0 -1 50 1e12 8 0\n"
+      "N 8 1 -1 50 0 8 0\n";
+  Result<PredictResponse> plan = client->PredictPlan(forged);
+  ASSERT_FALSE(plan.ok());
+  EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument)
+      << plan.status().ToString();
+
+  Result<PredictResponse> rows =
+      client->PredictRows(MakeRandomRequest(308, 3, 48));
+  EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+  (*server)->Stop();
+}
+
 TEST(PredictionServerTest, PredictPlanNeedsAPipelineLevelModel) {
   // A per-query model predicts a whole query from its summed feature
   // vector; summing its per-pipeline outputs answers a question it was

@@ -7,7 +7,9 @@
 //
 //  model ("t3model ..."):
 //   1. parse                  — ParseTextUnvalidated (no early-reject gate,
-//                               so every finding is reported),
+//                               so every finding is reported; the model
+//                               header is read as the loader reads it, so
+//                               an unknown target id fails here),
 //   2. forest-verifier        — ForestVerifier over the forest IR,
 //   3. jit-audit              — JitCodeAuditor over the exact bytes the
 //                               tree JIT would map executable,
