@@ -82,4 +82,15 @@ Result<ForestDiffBounds> ForestDiff(const Forest& a, const Forest& b) {
   return bounds;
 }
 
+Status ProveForestsEqual(const Forest& a, const Forest& b) {
+  Result<ForestDiffBounds> drift = ForestDiff(a, b);
+  if (!drift.ok()) return drift.status();
+  if (drift->MaxAbs() != 0.0) {
+    return InternalError(StrFormat(
+        "forests differ by up to %.17g over the input space",
+        drift->MaxAbs()));
+  }
+  return Status::OK();
+}
+
 }  // namespace t3

@@ -39,6 +39,15 @@ struct ForestDiffBounds {
 /// the feature counts differ.
 Result<ForestDiffBounds> ForestDiff(const Forest& a, const Forest& b);
 
+/// The round-trip proof for a model artifact: OK when ForestDiff proves
+/// `a` and `b` agree on every input (a bound of exactly zero),
+/// InternalError naming the bound when it is not, and ForestDiff's own
+/// error when the two cannot be compared. The text serializer is
+/// bit-exact, so a model and its reparsed text must pass; the server
+/// checks every model before publishing it, the harness every model cache
+/// it writes.
+Status ProveForestsEqual(const Forest& a, const Forest& b);
+
 }  // namespace t3
 
 #endif  // T3_ANALYSIS_FOREST_DIFF_H_

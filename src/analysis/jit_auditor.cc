@@ -48,71 +48,98 @@ bool IsBatchOp(JitOp op) {
   }
 }
 
+/// Index of the region holding `offset`: the last entry <= offset.
+size_t RegionOf(const std::vector<size_t>& entries, size_t offset) {
+  const auto it = std::upper_bound(entries.begin(), entries.end(), offset);
+  return static_cast<size_t>(it - entries.begin()) - 1;
+}
+
+/// The entry-and-decode prologue of Audit and AuditBatch (`batch` picks the
+/// wording): the entries are ascending offsets inside the `limit`
+/// instruction bytes with the first at 0, [0, limit) decodes against the
+/// whitelist, and every entry lands on an instruction boundary (decoding
+/// starts at 0, so an interior entry could still fall mid-instruction if
+/// the emitter miscounted). An artifact with no entries and no instruction
+/// bytes — a zero-tree forest — passes. Returns false once `report` holds
+/// an Error; the caller has nothing more to check then.
+bool DecodeRegions(const uint8_t* code, size_t limit,
+                   const std::vector<size_t>& entries, bool batch,
+                   DecodedCode* decoded, AnalysisReport* report) {
+  const char* unit = batch ? "kernel" : "tree";
+  for (size_t i = 0; i < entries.size(); ++i) {
+    const bool ascending = i == 0 || entries[i] > entries[i - 1];
+    if (entries[i] >= limit || !ascending) {
+      report->Add(Severity::kError, "bad-entry", static_cast<int>(i),
+                  static_cast<int>(entries[i]),
+                  batch ? StrFormat("kernel entry offset %zu not an "
+                                    "ascending offset inside the %zu "
+                                    "instruction bytes",
+                                    entries[i], limit)
+                        : StrFormat("entry offset %zu not an ascending "
+                                    "offset inside the %zu-byte buffer",
+                                    entries[i], limit));
+      return false;
+    }
+  }
+  if (entries.empty() ? limit != 0 : entries[0] != 0) {
+    report->Add(Severity::kError, "bad-entry", -1, -1,
+                StrFormat("first %s entry must be at offset 0", unit));
+    return false;
+  }
+
+  *decoded = DecodeLinear(code, limit);
+  if (!decoded->ok) {
+    const size_t at = decoded->error_offset;
+    // Fewer bytes left than the vocabulary's longest instruction (scalar
+    // mov rax, imm64: 10; batch vcmppd [rdi + disp32], imm8: 9) reads as a
+    // cut-off instruction.
+    const size_t longest = batch ? 9 : 10;
+    report->Add(Severity::kError,
+                limit - at < longest ? "truncated-instruction"
+                                     : "unknown-opcode",
+                batch ? -1 : static_cast<int>(RegionOf(entries, at)),
+                static_cast<int>(at),
+                batch ? StrFormat("byte 0x%02X at offset %zu is not in the "
+                                  "emitter whitelist",
+                                  code[at], at)
+                      : StrFormat("byte 0x%02X is not in the emitter "
+                                  "whitelist",
+                                  code[at]));
+    return false;  // Byte stream is desynchronized; nothing more to say.
+  }
+  bool on_boundaries = true;
+  for (size_t i = 0; i < entries.size(); ++i) {
+    if (decoded->instructions.count(entries[i]) == 0) {
+      report->Add(Severity::kError, "bad-entry", static_cast<int>(i),
+                  static_cast<int>(entries[i]),
+                  StrFormat("%s entry is not an instruction boundary", unit));
+      on_boundaries = false;
+    }
+  }
+  return on_boundaries;
+}
+
 }  // namespace
 
 AnalysisReport JitCodeAuditor::Audit(const uint8_t* code, size_t size,
                                      const std::vector<size_t>& entries,
                                      int num_features) const {
   AnalysisReport report;
-
-  // Region lookup: region(i) = [entries[i], entries[i+1]) with the last
-  // region closed by the buffer end.
-  for (size_t i = 0; i < entries.size(); ++i) {
-    const bool ascending = i == 0 || entries[i] > entries[i - 1];
-    if (entries[i] >= size || !ascending) {
-      report.Add(Severity::kError, "bad-entry", static_cast<int>(i),
-                 static_cast<int>(entries[i]),
-                 StrFormat("entry offset %zu not an ascending offset inside "
-                           "the %zu-byte buffer",
-                           entries[i], size));
-      return report;
-    }
-  }
-  if (entries.empty() || entries[0] != 0) {
-    report.Add(Severity::kError, "bad-entry", -1, -1,
-               "first tree entry must be at offset 0");
+  // Pass 1: entries and the linear decode (shared decoder). Instruction
+  // boundaries double as the branch target whitelist.
+  DecodedCode decoded;
+  if (!DecodeRegions(code, size, entries, /*batch=*/false, &decoded,
+                     &report)) {
     return report;
   }
-
-  const auto region_of = [&entries](size_t offset) -> size_t {
-    // Last entry <= offset.
-    const auto it =
-        std::upper_bound(entries.begin(), entries.end(), offset);
-    return static_cast<size_t>(it - entries.begin()) - 1;
-  };
+  const std::map<size_t, JitInstruction>& instructions = decoded.instructions;
   const auto region_end = [&entries, size](size_t region) -> size_t {
     return region + 1 < entries.size() ? entries[region + 1] : size;
   };
 
-  // Pass 1: linear decode (shared decoder). Instruction boundaries double
-  // as the branch target whitelist.
-  const DecodedCode decoded = DecodeLinear(code, size);
-  if (!decoded.ok) {
-    const size_t at = decoded.error_offset;
-    report.Add(Severity::kError,
-               size - at < 10 ? "truncated-instruction" : "unknown-opcode",
-               static_cast<int>(region_of(at)), static_cast<int>(at),
-               StrFormat("byte 0x%02X is not in the emitter whitelist",
-                         code[at]));
-    return report;  // Byte stream is desynchronized; nothing more to say.
-  }
-  const std::map<size_t, JitInstruction>& instructions = decoded.instructions;
-
-  // Every entry must land on an instruction boundary (pass 1 started at
-  // entries[0] == 0, so interior entries could still fall mid-instruction
-  // if the emitter miscounted).
-  for (size_t i = 0; i < entries.size(); ++i) {
-    if (instructions.find(entries[i]) == instructions.end()) {
-      report.Add(Severity::kError, "bad-entry", static_cast<int>(i),
-                 static_cast<int>(entries[i]),
-                 "tree entry is not an instruction boundary");
-    }
-  }
-  if (report.HasErrors()) return report;
-
   // Pass 2: per-instruction operand checks.
   for (const auto& [at, instruction] : instructions) {
-    const size_t region = region_of(at);
+    const size_t region = RegionOf(entries, at);
     const int tree = static_cast<int>(region);
     const int node = static_cast<int>(at);
     if (IsBatchOp(instruction.op)) {
@@ -183,7 +210,7 @@ AnalysisReport JitCodeAuditor::Audit(const uint8_t* code, size_t size,
     const bool is_ret = instruction.op == JitOp::kRet;
     report.Add(is_ret ? Severity::kError : Severity::kWarning,
                is_ret ? "unreachable-ret" : "unreachable-code",
-               static_cast<int>(region_of(at)), static_cast<int>(at),
+               static_cast<int>(RegionOf(entries, at)), static_cast<int>(at),
                is_ret ? "ret instruction unreachable from its tree entry"
                       : "instruction unreachable from its tree entry");
   }
@@ -202,45 +229,12 @@ AnalysisReport JitCodeAuditor::AuditBatch(const uint8_t* code, size_t size,
                          pool_begin, size));
     return report;
   }
-  for (size_t i = 0; i < entries.size(); ++i) {
-    const bool ascending = i == 0 || entries[i] > entries[i - 1];
-    if (entries[i] >= pool_begin || !ascending) {
-      report.Add(Severity::kError, "bad-entry", static_cast<int>(i),
-                 static_cast<int>(entries[i]),
-                 StrFormat("kernel entry offset %zu not an ascending offset "
-                           "inside the %zu instruction bytes",
-                           entries[i], pool_begin));
-      return report;
-    }
-  }
-  if (entries.empty() || entries[0] != 0) {
-    report.Add(Severity::kError, "bad-entry", -1, -1,
-               "first kernel entry must be at offset 0");
-    return report;
-  }
-
   // Only [0, pool_begin) is instructions; the constant pool is data.
-  const DecodedCode decoded = DecodeLinear(code, pool_begin);
-  if (!decoded.ok) {
-    const size_t at = decoded.error_offset;
-    report.Add(Severity::kError,
-               pool_begin - at < 9 ? "truncated-instruction"
-                                   : "unknown-opcode",
-               -1, static_cast<int>(at),
-               StrFormat("byte 0x%02X at offset %zu is not in the emitter "
-                         "whitelist",
-                         code[at], at));
+  DecodedCode decoded;
+  if (!DecodeRegions(code, pool_begin, entries, /*batch=*/true, &decoded,
+                     &report)) {
     return report;
   }
-  for (size_t i = 0; i < entries.size(); ++i) {
-    if (decoded.instructions.find(entries[i]) ==
-        decoded.instructions.end()) {
-      report.Add(Severity::kError, "bad-entry", static_cast<int>(i),
-                 static_cast<int>(entries[i]),
-                 "kernel entry is not an instruction boundary");
-    }
-  }
-  if (report.HasErrors()) return report;
 
   const uint64_t block_bytes =
       static_cast<uint64_t>(kBatchFeatureStrideBytes) *

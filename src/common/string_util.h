@@ -18,6 +18,10 @@ std::vector<std::string> Split(std::string_view text, char delimiter);
 /// Removes leading and trailing ASCII whitespace.
 std::string_view StripAsciiWhitespace(std::string_view text);
 
+/// JSON string literal: `s` in double quotes, with quotes, backslashes and
+/// control bytes escaped.
+std::string JsonQuote(const std::string& s);
+
 /// Human-readable duration from nanoseconds: "812ns", "4.20us", "1.35ms",
 /// "2.10s". The unit is chosen so the mantissa is < 1000.
 std::string FormatDuration(double nanos);

@@ -321,7 +321,7 @@ const T3Model& Workbench::GetModelLocked(const std::string& name,
 
   // Bit-exactness proof for the cache we just wrote: reload it and
   // statically bound max |trained(x) - cached(x)| over the whole feature
-  // space via ForestDiff. The text serializer is bit-exact, so the proven
+  // space (ProveForestsEqual). The text serializer is bit-exact, so the proven
   // bound must be exactly zero — anything else means future runs would
   // silently benchmark a model that diverges from the one just trained.
   Result<T3Model> reread = T3Model::LoadFromFile(cache_path);
@@ -330,15 +330,13 @@ const T3Model& Workbench::GetModelLocked(const std::string& name,
                  cache_path.c_str(), reread.status().ToString().c_str());
     T3_CHECK(reread.ok());
   }
-  Result<ForestDiffBounds> drift =
-      ForestDiff(result.forest(), reread->forest());
-  T3_CHECK_OK(drift);
-  if (drift->MaxAbs() != 0.0) {
+  const Status same = ProveForestsEqual(result.forest(), reread->forest());
+  if (!same.ok()) {
     std::fprintf(stderr,
-                 "Workbench: cached model %s drifts from the trained one by "
-                 "up to %.17g over the input space.\n",
-                 cache_path.c_str(), drift->MaxAbs());
-    T3_CHECK(drift->MaxAbs() == 0.0);
+                 "Workbench: cached model %s drifts from the trained one: "
+                 "%s\n",
+                 cache_path.c_str(), same.ToString().c_str());
+    T3_CHECK_OK(same);
   }
   return result;
 }

@@ -21,12 +21,11 @@ Result<std::shared_ptr<const ServingModel>> MakeServingModel(
         "model %s fails its own serialization round trip: %s",
         source.c_str(), reparsed.status().ToString().c_str()));
   }
-  Result<ForestDiffBounds> drift = ForestDiff(model.forest(), *reparsed);
-  if (!drift.ok()) return drift.status();
-  if (drift->MaxAbs() != 0.0) {
-    return InternalError(StrFormat(
-        "model %s drifts from its serialized form by up to %.17g",
-        source.c_str(), drift->MaxAbs()));
+  const Status same = ProveForestsEqual(model.forest(), *reparsed);
+  if (!same.ok()) {
+    return Status(same.code(),
+                  StrFormat("model %s drifts from its serialized form: %s",
+                            source.c_str(), same.message().c_str()));
   }
 
   auto serving = std::make_shared<ServingModel>();

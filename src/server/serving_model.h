@@ -49,10 +49,10 @@ struct ServingModel {
 };
 
 /// Wraps `model` as a serving snapshot: re-proves text-format bit-exactness
-/// (serialize -> reparse -> ForestDiff must bound divergence at exactly
-/// zero — the same proof Workbench::GetModel runs on freshly written
-/// caches), then compiles the JIT evaluators. InternalError when the proof
-/// fails; a model that cannot be proven is never published.
+/// (serialize -> reparse -> ProveForestsEqual, the same proof
+/// Workbench::GetModel runs on freshly written caches), then compiles the
+/// JIT evaluators. InternalError when the proof fails; a model that cannot
+/// be proven is never published.
 Result<std::shared_ptr<const ServingModel>> MakeServingModel(
     T3Model model, uint32_t version, std::string source);
 

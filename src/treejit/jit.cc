@@ -42,6 +42,40 @@ bool JitSupported() { return T3_JIT_X86_64 != 0; }
 
 bool BatchJitSupported() { return T3_BATCH_JIT != 0; }
 
+Status ForestCodeProof::ToStatus() const {
+  const std::pair<const AnalysisReport*, const char*> passes[] = {
+      {&audit, "JIT audit"},
+      {&translation, "translation validation"},
+      {&batch_audit, "batch JIT audit"},
+      {&batch_equivalence, "batch equivalence validation"},
+  };
+  for (const auto& [report, name] : passes) {
+    if (report->HasErrors()) {
+      return InternalError(StrFormat("%s rejected emitted code: %s", name,
+                                     report->ToStatus().message().c_str()));
+    }
+  }
+  return Status::OK();
+}
+
+ForestCodeProof ProveForestCode(const Forest& forest, const JitArtifact& scalar,
+                                const BatchJitArtifact* batch) {
+  ForestCodeProof proof;
+  proof.audit = JitCodeAuditor().Audit(scalar.code.data(), scalar.code.size(),
+                                       scalar.entries, scalar.num_features);
+  proof.translation = TranslationValidator().Validate(
+      forest, scalar.code.data(), scalar.code.size(), scalar.entries);
+  if (batch != nullptr) {
+    proof.batch_audit = JitCodeAuditor().AuditBatch(
+        batch->code.data(), batch->code.size(), batch->entries,
+        batch->pool_begin, batch->num_features);
+    proof.batch_equivalence = BatchEquivalenceValidator().Validate(
+        forest, batch->code.data(), batch->code.size(), batch->entries,
+        batch->pool_begin);
+  }
+  return proof;
+}
+
 #if T3_JIT_X86_64
 
 namespace {
@@ -436,7 +470,8 @@ Status MapExecutable(const std::vector<uint8_t>& code, void** memory_out,
     return UnavailableError(StrFormat("mmap of %zu bytes failed: %s",
                                       mapped_size, std::strerror(errno)));
   }
-  std::memcpy(memory, code.data(), code.size());
+  // A zero-tree forest emits no code (and a null data()): map one empty page.
+  if (!code.empty()) std::memcpy(memory, code.data(), code.size());
   if (mprotect(memory, mapped_size, PROT_READ | PROT_EXEC) != 0) {
     const Status status = UnavailableError(
         StrFormat("mprotect(PROT_EXEC) failed: %s", std::strerror(errno)));
@@ -477,38 +512,23 @@ Result<BatchJitArtifact> EmitForestBatchCode(const Forest& forest) {
 #endif  // T3_BATCH_JIT
 
 Result<std::unique_ptr<CompiledForest>> CompiledForest::Compile(
-    const Forest& forest, const JitCompileOptions& options) {
+    const Forest& forest) {
   Result<JitArtifact> artifact = EmitForestCode(forest);
   if (!artifact.ok()) return artifact.status();
+#if T3_BATCH_JIT
+  Result<BatchJitArtifact> batch = EmitForestBatchCode(forest);
+  if (!batch.ok()) return batch.status();
+  const BatchJitArtifact* batch_artifact = &batch.value();
+#else
+  const BatchJitArtifact* batch_artifact = nullptr;
+#endif
 
-  if (options.verify) {
-    // Static proof over the exact bytes about to be mapped executable: only
-    // whitelisted instructions, branch targets on instruction boundaries
-    // inside the tree's own code, feature loads inside the row. An audit
-    // failure is an emitter bug, never a property of the (already
-    // validated) forest.
-    const AnalysisReport report = JitCodeAuditor().Audit(
-        artifact->code.data(), artifact->code.size(), artifact->entries,
-        artifact->num_features);
-    if (report.HasErrors()) {
-      return InternalError(
-          StrFormat("JIT audit rejected emitted code: %s",
-                    report.ToStatus().message().c_str()));
-    }
-    // Static equivalence proof over the same bytes: lift the emitted code
-    // back into decision trees and show they compute exactly `forest`
-    // (bit-equal thresholds/leaves, identical NaN routing, pointwise-equal
-    // outputs over every threshold-induced cell). A failure is an emitter
-    // bug — the forest itself was already validated.
-    const AnalysisReport equivalence = TranslationValidator().Validate(
-        forest, artifact->code.data(), artifact->code.size(),
-        artifact->entries);
-    if (equivalence.HasErrors()) {
-      return InternalError(
-          StrFormat("translation validation rejected emitted code: %s",
-                    equivalence.ToStatus().message().c_str()));
-    }
-  }
+#ifndef NDEBUG
+  // Prove the exact bytes about to be mapped executable.
+  const Status proven =
+      ProveForestCode(forest, *artifact, batch_artifact).ToStatus();
+  if (!proven.ok()) return proven;
+#endif
 
   std::unique_ptr<CompiledForest> compiled(new CompiledForest());
   compiled->base_score_ = forest.base_score;
@@ -522,66 +542,36 @@ Result<std::unique_ptr<CompiledForest>> CompiledForest::Compile(
         static_cast<uint8_t*>(compiled->code_) + entry));
   }
 
-#if T3_BATCH_JIT
-  if (options.enable_batch) {
-    Result<BatchJitArtifact> batch = EmitForestBatchCode(forest);
-    if (!batch.ok()) return batch.status();
-
-    if (options.verify) {
-      // Same pre-mapping discipline as the scalar code: prove every lane
-      // load, spill slot and pool reference in bounds and the control flow
-      // straight-line before any byte becomes executable.
-      const AnalysisReport report = JitCodeAuditor().AuditBatch(
-          batch->code.data(), batch->code.size(), batch->entries,
-          batch->pool_begin, batch->num_features);
-      if (report.HasErrors()) {
-        return InternalError(
-            StrFormat("batch JIT audit rejected emitted code: %s",
-                      report.ToStatus().message().c_str()));
-      }
-      // Lift each vector kernel back into a decision tree and prove it
-      // computes the source forest (structure + per-cell semantics), per
-      // lane — the batch analogue of the TranslationValidator proof.
-      const AnalysisReport equivalence = BatchEquivalenceValidator().Validate(
-          forest, batch->code.data(), batch->code.size(), batch->entries,
-          batch->pool_begin);
-      if (equivalence.HasErrors()) {
-        return InternalError(
-            StrFormat("batch equivalence validation rejected emitted code: %s",
-                      equivalence.ToStatus().message().c_str()));
-      }
-    }
-
-    Status batch_mapped = MapExecutable(batch->code, &compiled->batch_code_,
-                                        &compiled->batch_mapped_size_);
-    if (!batch_mapped.ok()) return batch_mapped;
-    compiled->batch_code_size_ = batch->code.size();
-    compiled->num_features_ = batch->num_features;
-    compiled->batch_fns_.reserve(batch->entries.size());
-    for (const size_t entry : batch->entries) {
-      compiled->batch_fns_.push_back(reinterpret_cast<BatchFn>(
-          static_cast<uint8_t*>(compiled->batch_code_) + entry));
-    }
-
-    if (options.verify) {
-      // Belt and braces after mapping: run the mapped kernels themselves
-      // over one witness row per leaf cell and bit-compare against the
-      // scalar path. (Exercises the real dispatch only where the runtime
-      // probe allows it; otherwise both sides take the scalar path.)
-      const CompiledForest* self = compiled.get();
-      const AnalysisReport differential = BatchDifferentialCheck(
-          forest, [self](const double* rows, size_t num_rows,
-                         size_t num_features, double* out) {
-            self->PredictBatch(rows, num_rows, num_features, out);
-          });
-      if (differential.HasErrors()) {
-        return InternalError(
-            StrFormat("batch differential check rejected mapped kernels: %s",
-                      differential.ToStatus().message().c_str()));
-      }
-    }
+  if (batch_artifact == nullptr) return compiled;
+  Status batch_mapped =
+      MapExecutable(batch_artifact->code, &compiled->batch_code_,
+                    &compiled->batch_mapped_size_);
+  if (!batch_mapped.ok()) return batch_mapped;
+  compiled->batch_code_size_ = batch_artifact->code.size();
+  compiled->num_features_ = batch_artifact->num_features;
+  compiled->batch_fns_.reserve(batch_artifact->entries.size());
+  for (const size_t entry : batch_artifact->entries) {
+    compiled->batch_fns_.push_back(reinterpret_cast<BatchFn>(
+        static_cast<uint8_t*>(compiled->batch_code_) + entry));
   }
-#endif  // T3_BATCH_JIT
+
+#ifndef NDEBUG
+  // Belt and braces after mapping: run the mapped kernels themselves over
+  // one witness row per leaf cell and bit-compare against the scalar path.
+  // (Exercises the real dispatch only where the runtime probe allows it;
+  // otherwise both sides take the scalar path.)
+  const CompiledForest* self = compiled.get();
+  const AnalysisReport differential = BatchDifferentialCheck(
+      forest, [self](const double* rows, size_t num_rows,
+                     size_t num_features, double* out) {
+        self->PredictBatch(rows, num_rows, num_features, out);
+      });
+  if (differential.HasErrors()) {
+    return InternalError(
+        StrFormat("batch differential check rejected mapped kernels: %s",
+                  differential.ToStatus().message().c_str()));
+  }
+#endif
 
   return compiled;
 }
@@ -636,7 +626,7 @@ Result<JitArtifact> EmitForestCode(const Forest& forest) {
 }
 
 Result<std::unique_ptr<CompiledForest>> CompiledForest::Compile(
-    const Forest& forest, const JitCompileOptions&) {
+    const Forest& forest) {
   Result<JitArtifact> artifact = EmitForestCode(forest);
   return artifact.status();
 }

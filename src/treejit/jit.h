@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/report.h"
 #include "common/status.h"
 #include "treejit/evaluator.h"
 
@@ -12,8 +13,8 @@ namespace t3 {
 
 /// Machine code emitted for a forest, before it is mapped executable: the
 /// raw bytes plus each tree function's entry offset. Exposed separately
-/// from Compile so the JitCodeAuditor (src/analysis) and tests can inspect
-/// the exact bytes that would run.
+/// from Compile so ProveForestCode, t3_lint and tests can inspect the exact
+/// bytes that would run.
 struct JitArtifact {
   std::vector<uint8_t> code;
   std::vector<size_t> entries;  ///< One per tree, ascending, [0] == 0.
@@ -34,8 +35,9 @@ Result<JitArtifact> EmitForestCode(const Forest& forest);
 /// 4-lane ymm halves, accumulating `acc[lane] += leaf_value(lane)` — the
 /// same per-tree addend, in the same order, as the scalar path. The code is
 /// straight-line (branch-free) masked evaluation; see EmitForestBatchCode
-/// in jit.cc for the exact instruction grammar, which the analysis passes
-/// (JitCodeAuditor::AuditBatch, BatchEquivalenceValidator) re-check.
+/// in jit.cc for the exact instruction grammar, which ProveForestCode's
+/// batch passes (JitCodeAuditor::AuditBatch, BatchEquivalenceValidator)
+/// re-check.
 ///
 /// `pool_begin` is the first byte past the last kernel's ret; the
 /// vbroadcastsd constant pool starts at the next 8-byte boundary and runs
@@ -58,34 +60,26 @@ Result<BatchJitArtifact> EmitForestBatchCode(const Forest& forest);
 /// common/cpu_features.h).
 bool BatchJitSupported();
 
-/// Knobs for CompiledForest::Compile.
-struct JitCompileOptions {
-  /// Prove the emitted code before mapping it executable; Compile fails
-  /// with InternalError on any finding (an emitter bug, never a property of
-  /// the already validated forest). The proofs:
-  ///  - JitCodeAuditor over the scalar code: only whitelisted
-  ///    instructions, branch targets on instruction boundaries inside the
-  ///    tree's own code, feature loads inside the row;
-  ///  - TranslationValidator: lift the scalar code back into decision trees
-  ///    and prove structural + semantic equivalence to the source forest;
-  ///  - for the batch kernels, JitCodeAuditor::AuditBatch (lane-load
-  ///    bounds, frame discipline, straight-line control flow) and
-  ///    BatchEquivalenceValidator (per-lane lift-and-prove), plus an
-  ///    exhaustive per-cell differential check of the mapped kernels
-  ///    against the scalar path.
-  /// On by default in debug builds; release callers opt in (roughly one
-  /// interval walk per leaf: well under a model load, but not free on the
-  /// model-reload path).
-#ifdef NDEBUG
-  bool verify = false;
-#else
-  bool verify = true;
-#endif
-  /// Also compile the AVX batch kernels (a no-op when BatchJitSupported()
-  /// is false). Off pins PredictBatch to the portable per-row path — the
-  /// scalar reference the dispatch tests compare against.
-  bool enable_batch = true;
+/// ProveForestCode's reports, one per pass (src/analysis documents what
+/// each proves). The batch reports are empty without a batch artifact.
+struct ForestCodeProof {
+  AnalysisReport audit;              ///< JitCodeAuditor::Audit.
+  AnalysisReport translation;        ///< TranslationValidator.
+  AnalysisReport batch_audit;        ///< JitCodeAuditor::AuditBatch.
+  AnalysisReport batch_equivalence;  ///< BatchEquivalenceValidator.
+
+  /// OK, or InternalError naming the first pass with an Error finding.
+  Status ToStatus() const;
 };
+
+/// The one wiring of the JIT proof stack: runs all four passes over the
+/// exact bytes EmitForestCode / EmitForestBatchCode produced for `forest`
+/// (`batch` may be null: builds without batch kernels). Every pass runs,
+/// whatever the others find. CompiledForest::Compile (debug builds) and
+/// t3_lint gate on this function; any Error is an emitter bug, never a
+/// property of the already validated forest.
+ForestCodeProof ProveForestCode(const Forest& forest, const JitArtifact& scalar,
+                                const BatchJitArtifact* batch);
 
 /// A forest compiled to native x86-64 machine code, the paper's core
 /// latency optimization (Tables 1-2, Figure 5): each inner node becomes a
@@ -100,14 +94,23 @@ struct JitCompileOptions {
 /// Code lives in mmap'd memory managed W^X: pages are writable during
 /// emission, then flipped to read+execute — never both.
 ///
+/// Compile also builds the AVX batch kernels whenever BatchJitSupported().
+/// Debug builds prove the emitted bytes with ProveForestCode before mapping
+/// them and run BatchDifferentialCheck over the mapped kernels; a finding
+/// fails Compile with InternalError. Release builds skip the proof (roughly
+/// one interval walk per leaf: well under a model load, but not free on the
+/// model-reload path); the tests run it on the same bytes.
+///
+/// A forest with no trees compiles to no code: a constant model that
+/// predicts base_score.
+///
 /// Compile returns an error (and callers fall back to the interpreters) on:
 ///  - non-x86-64 hosts,
 ///  - mmap/mprotect failure,
 ///  - a structurally invalid forest.
 class CompiledForest : public ForestEvaluator {
  public:
-  static Result<std::unique_ptr<CompiledForest>> Compile(
-      const Forest& forest, const JitCompileOptions& options = {});
+  static Result<std::unique_ptr<CompiledForest>> Compile(const Forest& forest);
 
   ~CompiledForest() override;
   CompiledForest(const CompiledForest&) = delete;

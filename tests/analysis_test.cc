@@ -558,17 +558,22 @@ TEST_F(JitCodeAuditorCorruptionTest, TruncatedBufferIsRejected) {
   EXPECT_TRUE(report.HasErrors());
 }
 
-// Compile(verify=on) is the production wiring of the auditor: it must stay
-// invisible for healthy forests (bit-identical predictions, no failures).
-TEST(JitAuditWiringTest, AuditedCompileMatchesInterpreter) {
+// ProveForestCode is the one wiring of the auditor (debug Compile and
+// t3_lint gate on it): it must stay clean for healthy forests, on the same
+// bytes Compile maps, and the compiled code must match the interpreter.
+TEST(JitAuditWiringTest, ProvenCodeMatchesInterpreter) {
   if (!JitSupported()) GTEST_SKIP() << "no x86-64 emitter on this host";
   Rng rng(99);
   const Forest forest = RandomValidForest(&rng);
-  JitCompileOptions options;
-  options.verify = true;
+  Result<JitArtifact> artifact = EmitForestCode(forest);
+  ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
+  const ForestCodeProof proof =
+      ProveForestCode(forest, artifact.value(), /*batch=*/nullptr);
+  EXPECT_TRUE(proof.ToStatus().ok()) << proof.ToStatus().ToString();
   Result<std::unique_ptr<CompiledForest>> compiled =
-      CompiledForest::Compile(forest, options);
+      CompiledForest::Compile(forest);
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  EXPECT_EQ((*compiled)->code_size(), artifact->code.size());
   std::vector<double> row(static_cast<size_t>(forest.num_features));
   for (int i = 0; i < 200; ++i) {
     for (double& v : row) v = rng.UniformDouble(-150, 150);

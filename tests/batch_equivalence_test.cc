@@ -1,9 +1,10 @@
 // Tests of the batch-kernel analysis stack: JitCodeAuditor::AuditBatch
 // (safety) and BatchEquivalenceValidator (semantics) over the bytes
-// EmitForestBatchCode produces, plus the BatchDifferentialCheck dynamic
-// fallback. The adversarial core is the byte-flip battery: every single-bit
-// and whole-byte corruption of the emitted code (pad bytes excluded — they
-// are never read) must be rejected by the audit or the validator.
+// EmitForestBatchCode produces, run through ProveForestCode as Compile and
+// t3_lint run them, plus the BatchDifferentialCheck dynamic fallback. The
+// adversarial core is the byte-flip battery: every single-bit and
+// whole-byte corruption of the emitted code (pad bytes excluded — they are
+// never read) must be rejected by the audit or the validator.
 
 #include <cstdint>
 #include <memory>
@@ -14,60 +15,23 @@
 
 #include "analysis/batch_equivalence_validator.h"
 #include "analysis/jit_auditor.h"
+#include "common/check.h"
 #include "common/report.h"
 #include "common/random.h"
 #include "gbt/forest.h"
 #include "treejit/jit.h"
+#include "random_forest.h"
 
 namespace t3 {
 namespace {
 
-int BuildRandomSubtree(Tree* tree, Rng* rng, int num_features, int depth) {
-  const int index = static_cast<int>(tree->nodes.size());
-  tree->nodes.emplace_back();
-  if (depth <= 0 || rng->Bernoulli(0.3)) {
-    tree->nodes[index].is_leaf = true;
-    tree->nodes[index].value = rng->UniformDouble(-10, 10);
-    return index;
-  }
-  const int feature = static_cast<int>(rng->UniformInt(0, num_features - 1));
-  const double threshold = 0.25 * rng->UniformInt(-8, 8);
-  const bool default_left = rng->Bernoulli(0.5);
-  const int left = BuildRandomSubtree(tree, rng, num_features, depth - 1);
-  const int right = BuildRandomSubtree(tree, rng, num_features, depth - 1);
-  TreeNode& node = tree->nodes[index];
-  node.feature = feature;
-  node.threshold = threshold;
-  node.left = left;
-  node.right = right;
-  node.default_left = default_left;
-  return index;
-}
-
-Forest MakeRandomForest(Rng* rng, int num_features, int num_trees,
-                        int max_depth) {
-  Forest forest;
-  forest.num_features = num_features;
-  forest.base_score = rng->UniformDouble(-5, 5);
-  for (int t = 0; t < num_trees; ++t) {
-    Tree tree;
-    BuildRandomSubtree(&tree, rng, num_features, max_depth);
-    forest.trees.push_back(std::move(tree));
-  }
-  return forest;
-}
-
-// Audit + validate one artifact against its forest; returns the merged
-// report so callers can assert clean or corrupted as appropriate.
-AnalysisReport AnalyzeBatch(const Forest& forest,
-                            const BatchJitArtifact& artifact) {
-  AnalysisReport report = JitCodeAuditor().AuditBatch(
-      artifact.code.data(), artifact.code.size(), artifact.entries,
-      artifact.pool_begin, forest.num_features);
-  report.Merge(BatchEquivalenceValidator().Validate(
-      forest, artifact.code.data(), artifact.code.size(), artifact.entries,
-      artifact.pool_begin));
-  return report;
+// ProveForestCode over `batch` next to the forest's own scalar code, so
+// the batch passes are the ones under test.
+ForestCodeProof ProveWithBatch(const Forest& forest,
+                               const BatchJitArtifact& batch) {
+  Result<JitArtifact> scalar = EmitForestCode(forest);
+  T3_CHECK(scalar.ok());
+  return ProveForestCode(forest, scalar.value(), &batch);
 }
 
 TEST(BatchEquivalenceTest, CleanOnRandomForests) {
@@ -84,10 +48,8 @@ TEST(BatchEquivalenceTest, CleanOnRandomForests) {
     ASSERT_TRUE(forest.Validate().ok());
     Result<BatchJitArtifact> artifact = EmitForestBatchCode(forest);
     ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
-    const AnalysisReport report = AnalyzeBatch(forest, artifact.value());
-    EXPECT_FALSE(report.HasErrors())
-        << "trial " << trial << ":\n"
-        << report.ToString();
+    const Status proven = ProveWithBatch(forest, artifact.value()).ToStatus();
+    EXPECT_TRUE(proven.ok()) << "trial " << trial << ": " << proven.ToString();
   }
 }
 
@@ -107,8 +69,9 @@ TEST(BatchEquivalenceTest, CleanOnFixtureModels) {
     ASSERT_TRUE(forest.ok()) << path << ": " << forest.status().ToString();
     Result<BatchJitArtifact> artifact = EmitForestBatchCode(forest.value());
     ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
-    const AnalysisReport report = AnalyzeBatch(forest.value(), artifact.value());
-    EXPECT_FALSE(report.HasErrors()) << fixture << ":\n" << report.ToString();
+    const Status proven =
+        ProveWithBatch(forest.value(), artifact.value()).ToStatus();
+    EXPECT_TRUE(proven.ok()) << fixture << ": " << proven.ToString();
   }
 }
 
@@ -129,7 +92,7 @@ TEST(BatchEquivalenceTest, ByteFlipBatteryDetectsEveryCorruption) {
     Result<BatchJitArtifact> artifact = EmitForestBatchCode(forest);
     ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
     const BatchJitArtifact& clean = artifact.value();
-    ASSERT_FALSE(AnalyzeBatch(forest, clean).HasErrors());
+    ASSERT_TRUE(ProveWithBatch(forest, clean).ToStatus().ok());
 
     const size_t pad_end = (clean.pool_begin + 7) & ~size_t{7};
     for (size_t offset = 0; offset < clean.code.size(); ++offset) {
@@ -138,8 +101,9 @@ TEST(BatchEquivalenceTest, ByteFlipBatteryDetectsEveryCorruption) {
            {static_cast<uint8_t>(1u << (offset % 8)), uint8_t{0xFF}}) {
         BatchJitArtifact corrupt = clean;
         corrupt.code[offset] ^= mask;
-        const AnalysisReport report = AnalyzeBatch(forest, corrupt);
-        ASSERT_TRUE(report.HasErrors())
+        const ForestCodeProof proof = ProveWithBatch(forest, corrupt);
+        ASSERT_TRUE(proof.batch_audit.HasErrors() ||
+                    proof.batch_equivalence.HasErrors())
             << "trial " << trial << ": flip of byte " << offset << " (mask 0x"
             << std::hex << static_cast<int>(mask)
             << ") slipped past the audit and the validator";
@@ -259,10 +223,9 @@ TEST(BatchEquivalenceTest, DifferentialCheckDetectsMismatch) {
   EXPECT_EQ(report.diagnostics()[0].check, "batch-differential-mismatch");
 }
 
-// End to end: Compile with the whole batch analysis stack forced on (the
-// release defaults leave it off) accepts every random forest, and the
-// compiled batch path matches the reference on a mixed batch.
-TEST(BatchEquivalenceTest, CompileWithFullValidationSucceeds) {
+// End to end: for every random forest the proof is clean on the exact
+// bytes Compile maps, and the compiled forest carries those kernels.
+TEST(BatchEquivalenceTest, CompiledKernelsPassTheProof) {
   if (!BatchJitSupported()) {
     GTEST_SKIP() << "batch JIT not supported in this build";
   }
@@ -272,15 +235,16 @@ TEST(BatchEquivalenceTest, CompileWithFullValidationSucceeds) {
     const Forest forest = MakeRandomForest(
         &rng, num_features, 1 + static_cast<int>(rng.UniformInt(0, 4)),
         1 + static_cast<int>(rng.UniformInt(0, 4)));
-    JitCompileOptions options;
-    options.verify = true;
-    options.enable_batch = true;
+    Result<BatchJitArtifact> batch = EmitForestBatchCode(forest);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    const Status proven = ProveWithBatch(forest, batch.value()).ToStatus();
+    ASSERT_TRUE(proven.ok()) << "trial " << trial << ": " << proven.ToString();
     Result<std::unique_ptr<CompiledForest>> compiled =
-        CompiledForest::Compile(forest, options);
+        CompiledForest::Compile(forest);
     ASSERT_TRUE(compiled.ok())
         << "trial " << trial << ": " << compiled.status().ToString();
     EXPECT_TRUE((*compiled)->has_batch_kernels());
-    EXPECT_GT((*compiled)->batch_code_size(), 0u);
+    EXPECT_EQ((*compiled)->batch_code_size(), batch->code.size());
   }
 }
 

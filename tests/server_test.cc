@@ -24,53 +24,21 @@
 #include "server/protocol.h"
 #include "server/server.h"
 #include "server/serving_model.h"
+#include "random_forest.h"
 
 namespace t3 {
 namespace {
 
-// --- Shared fixtures: small hand-built random forests (the treejit-test
-// idiom) wrapped as serving models. ---
+// --- Shared fixtures: small seeded random forests (random_forest.h) wrapped
+// as serving models. ---
 
-int BuildRandomSubtree(Tree* tree, Rng* rng, int num_features, int depth) {
-  const int index = static_cast<int>(tree->nodes.size());
-  tree->nodes.emplace_back();
-  const bool leaf = depth <= 0 || rng->Bernoulli(0.3);
-  if (leaf) {
-    TreeNode& node = tree->nodes[index];
-    node.is_leaf = true;
-    node.value = rng->UniformDouble(-10, 10);
-    return index;
-  }
-  const int feature = static_cast<int>(rng->UniformInt(0, num_features - 1));
-  const double threshold = 0.25 * rng->UniformInt(-8, 8);
-  const bool default_left = rng->Bernoulli(0.5);
-  const int left = BuildRandomSubtree(tree, rng, num_features, depth - 1);
-  const int right = BuildRandomSubtree(tree, rng, num_features, depth - 1);
-  TreeNode& node = tree->nodes[index];
-  node.is_leaf = false;
-  node.feature = feature;
-  node.threshold = threshold;
-  node.left = left;
-  node.right = right;
-  node.default_left = default_left;
-  return index;
-}
-
-Forest MakeRandomForest(uint64_t seed, int num_features, int num_trees) {
+Forest SeededForest(uint64_t seed, int num_features, int num_trees) {
   Rng rng(seed);
-  Forest forest;
-  forest.num_features = num_features;
-  forest.base_score = rng.UniformDouble(-5, 5);
-  for (int t = 0; t < num_trees; ++t) {
-    Tree tree;
-    BuildRandomSubtree(&tree, &rng, num_features, 5);
-    forest.trees.push_back(std::move(tree));
-  }
-  return forest;
+  return MakeRandomForest(&rng, num_features, num_trees, /*max_depth=*/5);
 }
 
 T3Model MakeRandomModel(uint64_t seed, int num_features, int num_trees) {
-  return T3Model(MakeRandomForest(seed, num_features, num_trees),
+  return T3Model(SeededForest(seed, num_features, num_trees),
                  PredictionTarget::kPerTuple);
 }
 
@@ -365,7 +333,8 @@ TEST(PredictionServerTest, PredictPlanNeedsAPipelineLevelModel) {
   // A per-query model predicts a whole query from its summed feature
   // vector; summing its per-pipeline outputs answers a question it was
   // never trained on, so plan requests fail while rows requests still work.
-  const T3Model reference(MakeRandomForest(305, 48, 6), PredictionTarget::kPerQuery);
+  const T3Model reference(SeededForest(305, 48, 6),
+                          PredictionTarget::kPerQuery);
   Result<std::shared_ptr<const ServingModel>> serving =
       MakeServingModel(reference, 1, "test:per-query");
   ASSERT_TRUE(serving.ok()) << serving.status().ToString();

@@ -1,5 +1,6 @@
 #include <cmath>
 #include <cstdlib>
+#include <initializer_list>
 #include <limits>
 #include <memory>
 #include <string>
@@ -7,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/x86_decoder.h"
 #include "common/cpu_features.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
@@ -14,50 +16,10 @@
 #include "gbt/trainer.h"
 #include "treejit/evaluator.h"
 #include "treejit/jit.h"
+#include "random_forest.h"
 
 namespace t3 {
 namespace {
-
-// Builds a random tree into `tree` and returns the new subtree's root index.
-// Thresholds are drawn from a small grid so that rows drawn from the same
-// grid regularly hit exact threshold values (the x == threshold boundary).
-int BuildRandomSubtree(Tree* tree, Rng* rng, int num_features, int depth) {
-  const int index = static_cast<int>(tree->nodes.size());
-  tree->nodes.emplace_back();
-  const bool leaf = depth <= 0 || rng->Bernoulli(0.3);
-  if (leaf) {
-    TreeNode& node = tree->nodes[index];
-    node.is_leaf = true;
-    node.value = rng->UniformDouble(-10, 10);
-    return index;
-  }
-  const int feature = static_cast<int>(rng->UniformInt(0, num_features - 1));
-  const double threshold = 0.25 * rng->UniformInt(-8, 8);
-  const bool default_left = rng->Bernoulli(0.5);
-  const int left = BuildRandomSubtree(tree, rng, num_features, depth - 1);
-  const int right = BuildRandomSubtree(tree, rng, num_features, depth - 1);
-  TreeNode& node = tree->nodes[index];
-  node.is_leaf = false;
-  node.feature = feature;
-  node.threshold = threshold;
-  node.left = left;
-  node.right = right;
-  node.default_left = default_left;
-  return index;
-}
-
-Forest MakeRandomForest(Rng* rng, int num_features, int num_trees,
-                        int max_depth) {
-  Forest forest;
-  forest.num_features = num_features;
-  forest.base_score = rng->UniformDouble(-5, 5);
-  for (int t = 0; t < num_trees; ++t) {
-    Tree tree;
-    BuildRandomSubtree(&tree, rng, num_features, max_depth);
-    forest.trees.push_back(std::move(tree));
-  }
-  return forest;
-}
 
 // One random row; roughly 10% NaN entries and the rest drawn from the same
 // grid as the thresholds, so boundary hits (x == threshold) are common.
@@ -311,6 +273,92 @@ TEST(JitTest, UnsupportedHostsReportUnavailable) {
   EXPECT_EQ(compiled.status().code(), StatusCode::kUnavailable);
 }
 
+// Byte offset of the first instruction in code[0, size) whose op is in
+// `ops`; `size` when there is none.
+size_t FirstInstructionOf(const std::vector<uint8_t>& code, size_t size,
+                          std::initializer_list<JitOp> ops) {
+  const DecodedCode decoded = DecodeLinear(code.data(), size);
+  for (const auto& [at, instruction] : decoded.instructions) {
+    for (const JitOp op : ops) {
+      if (instruction.op == op) return at;
+    }
+  }
+  return size;
+}
+
+// A forest with no trees is a constant model: no code, nothing for the
+// proof to reject, base_score from every entry point.
+TEST(ProveForestCodeTest, ZeroTreeForestIsAConstantModel) {
+  if (!JitSupported()) GTEST_SKIP() << "JIT unsupported on this host";
+  Result<Forest> forest = Forest::LoadFromFile(
+      std::string(T3_SOURCE_DIR) + "/tests/data/model_zero_trees.txt");
+  ASSERT_TRUE(forest.ok()) << forest.status().ToString();
+  ASSERT_TRUE(forest->trees.empty());
+  Result<JitArtifact> scalar = EmitForestCode(*forest);
+  ASSERT_TRUE(scalar.ok()) << scalar.status().ToString();
+  Result<BatchJitArtifact> batch = EmitForestBatchCode(*forest);
+  const Status proven =
+      ProveForestCode(*forest, *scalar, batch.ok() ? &batch.value() : nullptr)
+          .ToStatus();
+  EXPECT_TRUE(proven.ok()) << proven.ToString();
+
+  Result<std::unique_ptr<CompiledForest>> compiled =
+      CompiledForest::Compile(*forest);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  const size_t dim = static_cast<size_t>(forest->num_features);
+  const std::vector<double> rows(9 * dim, 1.0);
+  EXPECT_EQ((*compiled)->Predict(rows.data()), forest->base_score);
+  std::vector<double> out(9, 0.0);
+  (*compiled)->PredictBatch(rows.data(), 9, dim, out.data());
+  for (const double prediction : out) {
+    EXPECT_EQ(prediction, forest->base_score);
+  }
+}
+
+// The gate fails on corrupt bytes, and in the pass that owns the fault.
+// Compile (debug builds) and t3_lint gate on exactly these reports.
+TEST(ProveForestCodeTest, FlippedByteFailsTheRightPass) {
+  if (!JitSupported()) GTEST_SKIP() << "JIT unsupported on this host";
+  Rng rng(2024);
+  const Forest forest = MakeRandomForest(&rng, 4, 3, 4);
+  Result<JitArtifact> scalar = EmitForestCode(forest);
+  ASSERT_TRUE(scalar.ok()) << scalar.status().ToString();
+  Result<BatchJitArtifact> batch = EmitForestBatchCode(forest);
+  const BatchJitArtifact* batch_code = batch.ok() ? &batch.value() : nullptr;
+  ASSERT_TRUE(ProveForestCode(forest, *scalar, batch_code).ToStatus().ok());
+
+  // ja (0F 87) <-> jb (0F 82): the code stays well formed, so the audit
+  // passes, but the split now sends the other side of the threshold left.
+  JitArtifact flipped_branch = *scalar;
+  const size_t branch =
+      FirstInstructionOf(flipped_branch.code, flipped_branch.code.size(),
+                         {JitOp::kJa, JitOp::kJb});
+  ASSERT_LT(branch, flipped_branch.code.size());
+  flipped_branch.code[branch + 1] ^= 0x87 ^ 0x82;
+  const ForestCodeProof bad_scalar =
+      ProveForestCode(forest, flipped_branch, batch_code);
+  EXPECT_FALSE(bad_scalar.audit.HasErrors()) << bad_scalar.audit.ToString();
+  EXPECT_TRUE(bad_scalar.translation.HasErrors());
+  EXPECT_FALSE(bad_scalar.ToStatus().ok());
+
+  if (!BatchJitSupported()) return;
+  // vcmppd predicate GT_OQ (0x1E) <-> NLE_UQ (0x16): NaN lanes take the
+  // other side of the split.
+  BatchJitArtifact flipped_predicate = *batch;
+  const size_t compare =
+      FirstInstructionOf(flipped_predicate.code, flipped_predicate.pool_begin,
+                         {JitOp::kVcmppdRdiMem});
+  ASSERT_LT(compare, flipped_predicate.pool_begin);
+  flipped_predicate.code[compare + 8] ^= 0x1E ^ 0x16;  // The imm8.
+  const ForestCodeProof bad_batch =
+      ProveForestCode(forest, *scalar, &flipped_predicate);
+  EXPECT_FALSE(bad_batch.translation.HasErrors());
+  EXPECT_FALSE(bad_batch.batch_audit.HasErrors())
+      << bad_batch.batch_audit.ToString();
+  EXPECT_TRUE(bad_batch.batch_equivalence.HasErrors());
+  EXPECT_FALSE(bad_batch.ToStatus().ok());
+}
+
 TEST(BatchTest, PredictBatchMatchesLoop) {
   Rng rng(77);
   const int num_features = 6;
@@ -467,12 +515,12 @@ TEST(BatchTest, TrainedForestsBatchBitIdentical) {
   }
 }
 
-// Satellite: the dispatched batch path (whatever the host offers — SIMD
-// kernels or the fallback) agrees bitwise with the pinned scalar path on
-// every checked-in model fixture. Under T3_FORCE_SCALAR=1 (CI runs the
-// suite that way too) both sides take the per-row path and the test proves
-// the override leaves results unchanged.
-TEST(BatchTest, FixtureModelsScalarAndDispatchedPathsAgree) {
+// The dispatched batch path (whatever the host offers — SIMD kernels or
+// the fallback) agrees bitwise with Forest::Predict, the scalar reference,
+// on every checked-in model fixture. Under T3_FORCE_SCALAR=1 (CI runs the
+// suite that way too) the dispatch takes the per-row path and the test
+// proves the override leaves results unchanged.
+TEST(BatchTest, FixtureModelsDispatchedPathMatchesForestPredict) {
   const char* fixtures[] = {
       "/data/model_ablation_per_pipeline.txt",
       "/data/model_ablation_per_query.txt",
@@ -487,16 +535,10 @@ TEST(BatchTest, FixtureModelsScalarAndDispatchedPathsAgree) {
     ASSERT_TRUE(loaded.ok()) << path << ": " << loaded.status().ToString();
     const Forest& forest = loaded.value();
 
-    JitCompileOptions dispatched_options;
     Result<std::unique_ptr<CompiledForest>> dispatched =
-        CompiledForest::Compile(forest, dispatched_options);
+        CompiledForest::Compile(forest);
     ASSERT_TRUE(dispatched.ok()) << dispatched.status().ToString();
-    JitCompileOptions scalar_options;
-    scalar_options.enable_batch = false;  // Pins the per-row path.
-    Result<std::unique_ptr<CompiledForest>> scalar =
-        CompiledForest::Compile(forest, scalar_options);
-    ASSERT_TRUE(scalar.ok()) << scalar.status().ToString();
-    EXPECT_FALSE((*scalar)->has_batch_kernels());
+    EXPECT_EQ((*dispatched)->has_batch_kernels(), BatchJitSupported());
 
     const size_t num_rows = 33;  // Kernel blocks plus a scalar tail.
     const size_t dim = static_cast<size_t>(forest.num_features);
@@ -507,12 +549,9 @@ TEST(BatchTest, FixtureModelsScalarAndDispatchedPathsAgree) {
       rows.insert(rows.end(), row.begin(), row.end());
     }
     std::vector<double> out_dispatched(num_rows);
-    std::vector<double> out_scalar(num_rows);
     (*dispatched)->PredictBatch(rows.data(), num_rows, dim,
                                 out_dispatched.data());
-    (*scalar)->PredictBatch(rows.data(), num_rows, dim, out_scalar.data());
     for (size_t i = 0; i < num_rows; ++i) {
-      ASSERT_EQ(out_dispatched[i], out_scalar[i]) << fixture << " row " << i;
       ASSERT_EQ(out_dispatched[i], forest.Predict(&rows[i * dim]))
           << fixture << " row " << i;
     }

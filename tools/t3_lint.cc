@@ -24,8 +24,10 @@
 //                               reads in bounds, straight-line control
 //                               flow, and a per-lane lift-and-prove that
 //                               the masked kernels compute the same forest.
-//   Passes 3-4 need the x86-64 emitter (pass 5 additionally a build with
-//   batch kernels enabled) and run only when the forest IR is error-free
+//   Passes 3-5 are ProveForestCode's four reports (treejit/jit.h), the same
+//   proof a debug CompiledForest::Compile gates on. Passes 3-4 need the
+//   x86-64 emitter (pass 5 additionally a build with batch kernels
+//   enabled) and run only when the forest IR is error-free
 //   (the emitter's preconditions are exactly the verifier's Error checks);
 //   they are reported as "skipped" otherwise. Models over
 //   the 48-feature registry space additionally get an informational
@@ -66,14 +68,12 @@
 #include <string>
 #include <vector>
 
-#include "analysis/batch_equivalence_validator.h"
 #include "analysis/corpus_auditor.h"
 #include "analysis/feature_auditor.h"
 #include "analysis/forest_verifier.h"
-#include "analysis/jit_auditor.h"
 #include "analysis/plan_verifier.h"
-#include "analysis/translation_validator.h"
 #include "cli_util.h"
+#include "common/string_util.h"
 #include "common/text_format.h"
 #include "gbt/forest.h"
 #include "harness/corpus.h"
@@ -169,42 +169,31 @@ void LintModel(const std::string& content, FileResult* result) {
                        artifact.status().message());
     return;
   }
-  const t3::AnalysisReport audit_report = t3::JitCodeAuditor().Audit(
-      artifact->code.data(), artifact->code.size(), artifact->entries,
-      artifact->num_features);
-  audit.state =
-      audit_report.HasErrors() ? PassState::kFailed : PassState::kOk;
-  result->report.Merge(audit_report);
-
-  const t3::AnalysisReport equivalence =
-      t3::TranslationValidator().Validate(*forest, artifact->code.data(),
-                                          artifact->code.size(),
-                                          artifact->entries);
-  translate.state =
-      equivalence.HasErrors() ? PassState::kFailed : PassState::kOk;
-  result->report.Merge(equivalence);
-
-  // Stays "skipped" on builds without the batch emitter (non-x86-64 or
-  // -DT3_DISABLE_AVX2=ON) — the same contract as passes 3-4 off x86-64.
-  if (!t3::BatchJitSupported()) return;
   t3::Result<t3::BatchJitArtifact> batch_artifact =
       t3::EmitForestBatchCode(*forest);
+  const t3::ForestCodeProof proof = t3::ProveForestCode(
+      *forest, *artifact,
+      batch_artifact.ok() ? &batch_artifact.value() : nullptr);
+  const auto record = [result](PassResult* pass,
+                               const t3::AnalysisReport& report) {
+    pass->state = report.HasErrors() ? PassState::kFailed : PassState::kOk;
+    result->report.Merge(report);
+  };
+  record(&audit, proof.audit);
+  record(&translate, proof.translation);
+  // The batch pass stays "skipped" on builds without the batch emitter
+  // (non-x86-64 or -DT3_DISABLE_AVX2=ON) — the same contract as passes 3-4
+  // off x86-64.
+  if (!t3::BatchJitSupported()) return;
   if (!batch_artifact.ok()) {
     batch.state = PassState::kFailed;
     result->report.Add(t3::Severity::kError, "jit-emit", -1, -1,
                        batch_artifact.status().message());
     return;
   }
-  t3::AnalysisReport batch_report = t3::JitCodeAuditor().AuditBatch(
-      batch_artifact->code.data(), batch_artifact->code.size(),
-      batch_artifact->entries, batch_artifact->pool_begin,
-      batch_artifact->num_features);
-  batch_report.Merge(t3::BatchEquivalenceValidator().Validate(
-      *forest, batch_artifact->code.data(), batch_artifact->code.size(),
-      batch_artifact->entries, batch_artifact->pool_begin));
-  batch.state =
-      batch_report.HasErrors() ? PassState::kFailed : PassState::kOk;
-  result->report.Merge(batch_report);
+  t3::AnalysisReport batch_report = proof.batch_audit;
+  batch_report.Merge(proof.batch_equivalence);
+  record(&batch, batch_report);
 }
 
 void LintPlan(const std::string& content, FileResult* result) {
@@ -349,46 +338,15 @@ void PrintHuman(const FileResult& result) {
               result.report.NumWarnings());
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control bytes).
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void PrintJson(const std::vector<FileResult>& results, int exit_code) {
   std::printf("{\n  \"files\": [\n");
   for (size_t i = 0; i < results.size(); ++i) {
     const FileResult& result = results[i];
-    std::printf("    {\n      \"path\": \"%s\",\n      \"kind\": \"%s\",\n",
-                JsonEscape(result.path).c_str(), result.kind);
+    std::printf("    {\n      \"path\": %s,\n      \"kind\": \"%s\",\n",
+                t3::JsonQuote(result.path).c_str(), result.kind);
     if (result.unreadable) {
-      std::printf("      \"unreadable\": \"%s\",\n",
-                  JsonEscape(result.unreadable_message).c_str());
+      std::printf("      \"unreadable\": %s,\n",
+                  t3::JsonQuote(result.unreadable_message).c_str());
     }
     if (std::strcmp(result.kind, "model") == 0) {
       std::printf("      \"trees\": %zu,\n      \"nodes\": %zu,\n"
@@ -396,8 +354,8 @@ void PrintJson(const std::vector<FileResult>& results, int exit_code) {
                   result.trees, result.nodes, result.features);
       std::printf("      \"dead_features\": [");
       for (size_t d = 0; d < result.dead_features.size(); ++d) {
-        std::printf("%s\"%s\"", d == 0 ? "" : ", ",
-                    JsonEscape(result.dead_features[d]).c_str());
+        std::printf("%s%s", d == 0 ? "" : ", ",
+                    t3::JsonQuote(result.dead_features[d]).c_str());
       }
       std::printf("],\n");
     } else if (std::strcmp(result.kind, "plan") == 0) {
@@ -417,11 +375,11 @@ void PrintJson(const std::vector<FileResult>& results, int exit_code) {
         result.report.diagnostics();
     for (size_t d = 0; d < diagnostics.size(); ++d) {
       const t3::Diagnostic& diagnostic = diagnostics[d];
-      std::printf("%s\n        {\"severity\": \"%s\", \"check\": \"%s\", "
-                  "\"tree\": %d, \"node\": %d, \"message\": \"%s\"}",
+      std::printf("%s\n        {\"severity\": \"%s\", \"check\": %s, "
+                  "\"tree\": %d, \"node\": %d, \"message\": %s}",
                   d == 0 ? "" : ",", t3::SeverityName(diagnostic.severity),
-                  JsonEscape(diagnostic.check).c_str(), diagnostic.tree,
-                  diagnostic.node, JsonEscape(diagnostic.message).c_str());
+                  t3::JsonQuote(diagnostic.check).c_str(), diagnostic.tree,
+                  diagnostic.node, t3::JsonQuote(diagnostic.message).c_str());
     }
     std::printf("%s],\n", diagnostics.empty() ? "" : "\n      ");
     std::printf("      \"errors\": %zu,\n      \"warnings\": %zu\n    }%s\n",
