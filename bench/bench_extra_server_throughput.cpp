@@ -2,16 +2,21 @@
 // (src/server) — the full wire-protocol path (client encode -> TCP ->
 // server batcher -> SIMD PredictBatch -> decode), not just the in-process
 // evaluator of Table 2. Sweeps concurrent connections {1, 8, 64}; the
-// 64-connection run performs a mid-run atomic hot swap and the acceptance
-// gates are:
+// 64-connection run performs a mid-run atomic hot swap. Each connection
+// cycles through prebuilt requests of the corpus's real pipeline rows, and
+// the acceptance gates are:
 //   - zero dropped requests (every request answered, across the swap),
-//   - every response bit-matches the model version that served it,
-//   - sustained throughput >= 100k predictions/sec at 64 connections.
+//   - every row of every response bit-matches the model version that
+//     served it,
+//   - sustained throughput >= 100k predictions/sec at 64 connections,
+//     over the measured wall time from the first send to the last join.
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <set>
 #include <string>
@@ -21,7 +26,6 @@
 
 #include "bench_util.h"
 #include "common/check.h"
-#include "common/random.h"
 #include "server/client.h"
 #include "server/server.h"
 #include "server/serving_model.h"
@@ -36,52 +40,87 @@ constexpr double kTargetPredsPerSec = 100000.0;
 struct LoadResult {
   uint64_t requests = 0;
   uint64_t rows = 0;
+  double wall_seconds = 0.0;  ///< First send to the last thread join.
   std::vector<double> latency_ns;
   std::set<uint32_t> versions;
 };
 
-PredictRowsRequest MakeRequest(uint64_t seed, int num_features) {
-  Rng rng(seed);
+/// A prebuilt kPredictRows request and its answer under each model version.
+struct PreparedRequest {
   PredictRowsRequest request;
-  request.num_features = static_cast<uint32_t>(num_features);
-  request.rows.resize(kRowsPerRequest * static_cast<size_t>(num_features));
-  for (double& value : request.rows) {
-    value = rng.UniformDouble(0.0, 1e6);
+  std::array<std::vector<double>, 2> expected;  ///< Model versions 1 and 2.
+};
+
+/// Cuts the corpus's pipeline rows, in order, into kRowsPerRequest-row
+/// requests (the last one wraps around to the first rows) and precomputes
+/// every row's answer under both model versions.
+std::vector<PreparedRequest> PrepareRequests(const Corpus& corpus,
+                                             const T3Model& model_v1,
+                                             const T3Model& model_v2) {
+  std::vector<const PipelineFeatureVector*> pool;
+  for (const QueryRecord& record : corpus.records) {
+    for (const auto& features : record.feat_true) pool.push_back(&features);
   }
-  request.input_cardinalities.assign(kRowsPerRequest, 1000.0);
-  return request;
+  T3_CHECK(!pool.empty());
+  const size_t num_requests =
+      (pool.size() + kRowsPerRequest - 1) / kRowsPerRequest;
+  std::vector<PreparedRequest> prepared(num_requests);
+  for (size_t r = 0; r < num_requests; ++r) {
+    PreparedRequest& p = prepared[r];
+    p.request.num_features =
+        static_cast<uint32_t>(model_v1.forest().num_features);
+    for (size_t i = 0; i < kRowsPerRequest; ++i) {
+      const PipelineFeatureVector& row =
+          *pool[(r * kRowsPerRequest + i) % pool.size()];
+      p.request.rows.insert(p.request.rows.end(), row.values.begin(),
+                            row.values.end());
+      p.request.input_cardinalities.push_back(row.input_cardinality);
+      p.expected[0].push_back(model_v1.PredictPipelineSeconds(
+          row.values.data(), row.input_cardinality));
+      p.expected[1].push_back(model_v2.PredictPipelineSeconds(
+          row.values.data(), row.input_cardinality));
+    }
+  }
+  return prepared;
+}
+
+/// Aborts unless every row of `response` bit-matches the answer of the
+/// model version that claims to have served it.
+void CheckResponse(const PreparedRequest& prepared,
+                   const PredictResponse& response) {
+  T3_CHECK(response.model_version == 1 || response.model_version == 2);
+  const std::vector<double>& expected =
+      prepared.expected[response.model_version - 1];
+  T3_CHECK(response.predictions.size() == expected.size());
+  T3_CHECK(std::memcmp(response.predictions.data(), expected.data(),
+                       expected.size() * sizeof(double)) == 0);
 }
 
 /// Closed-loop load from `connections` client threads for the wall budget.
-/// Every response's first row is verified bit-exactly against the model
-/// version that claims to have served it; any mismatch or error aborts.
-LoadResult DriveLoad(uint16_t port, size_t connections, int num_features,
-                     const T3Model& model_v1, const T3Model& model_v2) {
+/// Connection c cycles through the prepared requests starting at request c;
+/// any error or mismatched row aborts.
+LoadResult DriveLoad(uint16_t port, size_t connections,
+                     const std::vector<PreparedRequest>& prepared) {
   std::atomic<bool> stop{false};
   std::vector<LoadResult> results(connections);
   std::vector<std::thread> threads;
   threads.reserve(connections);
+  Stopwatch wall;
   for (size_t c = 0; c < connections; ++c) {
     threads.emplace_back([&, c] {
       Result<PredictionClient> client =
           PredictionClient::Connect("127.0.0.1", port);
       T3_CHECK_OK(client);
-      const PredictRowsRequest request = MakeRequest(c + 1, num_features);
-      const double expected_v1 = model_v1.PredictPipelineSeconds(
-          request.rows.data(), request.input_cardinalities[0]);
-      const double expected_v2 = model_v2.PredictPipelineSeconds(
-          request.rows.data(), request.input_cardinalities[0]);
       LoadResult& result = results[c];
-      while (!stop.load(std::memory_order_acquire)) {
+      for (size_t next = c; !stop.load(std::memory_order_acquire); ++next) {
+        const PreparedRequest& request = prepared[next % prepared.size()];
         Stopwatch latency;
-        Result<PredictResponse> response = client->PredictRows(request);
+        Result<PredictResponse> response =
+            client->PredictRows(request.request);
         T3_CHECK_OK(response);
         result.latency_ns.push_back(
             static_cast<double>(latency.ElapsedNanos()));
-        T3_CHECK(response->predictions.size() == kRowsPerRequest);
-        const double expected =
-            response->model_version == 1 ? expected_v1 : expected_v2;
-        T3_CHECK(response->predictions[0] == expected);
+        CheckResponse(request, *response);
         result.versions.insert(response->model_version);
         result.requests++;
         result.rows += response->predictions.size();
@@ -94,6 +133,7 @@ LoadResult DriveLoad(uint16_t port, size_t connections, int num_features,
   for (std::thread& thread : threads) thread.join();
 
   LoadResult total;
+  total.wall_seconds = wall.ElapsedSeconds();
   for (LoadResult& result : results) {
     total.requests += result.requests;
     total.rows += result.rows;
@@ -108,7 +148,6 @@ LoadResult DriveLoad(uint16_t port, size_t connections, int num_features,
 int Run() {
   Workbench& workbench = bench::SharedWorkbench();
   const T3Model& main_model = workbench.MainModel();
-  const int num_features = main_model.forest().num_features;
 
   // The hot-swap target: the same forest with a shifted base score —
   // structurally identical (so the feature-width guard passes) but every
@@ -119,6 +158,8 @@ int Run() {
   const std::string swap_path =
       workbench.data_dir() + "/cache_server_bench_swap.txt";
   T3_CHECK(swap_model.SaveToFile(swap_path).ok());
+  const std::vector<PreparedRequest> prepared =
+      PrepareRequests(workbench.corpus(), main_model, swap_model);
 
   Result<std::shared_ptr<const ServingModel>> serving = MakeServingModel(
       T3Model(main_model.forest(), main_model.target()), 1,
@@ -137,10 +178,11 @@ int Run() {
       (*server)->registry().Current()->compiled->has_batch_kernels();
   PrintExperimentHeader(
       "Extra: prediction-server throughput over the wire protocol",
-      StrFormat("closed loop, %zu rows/request, %.1fs per config, %d-tree "
-                "model; batch kernels: %s. The 64-connection run hot-swaps "
+      StrFormat("closed loop, %zu corpus pipeline rows/request cycled over "
+                "%zu prebuilt requests, %.1fs per config, %d-tree model; "
+                "batch kernels: %s. The 64-connection run hot-swaps "
                 "mid-flight.",
-                kRowsPerRequest, kBudgetSeconds,
+                kRowsPerRequest, prepared.size(), kBudgetSeconds,
                 static_cast<int>(main_model.forest().trees.size()),
                 simd ? "SIMD" : "per-row fallback"));
 
@@ -161,14 +203,13 @@ int Run() {
         T3_CHECK_OK(version);
       });
     }
-    const LoadResult result =
-        DriveLoad(port, connections, num_features, main_model, swap_model);
+    const LoadResult result = DriveLoad(port, connections, prepared);
     if (swapper.joinable()) swapper.join();
 
     // Zero drops: DriveLoad T3_CHECKs every response, so reaching here
     // with N requests means N answers; the column records it explicitly.
     const double preds_per_sec =
-        static_cast<double>(result.rows) / kBudgetSeconds;
+        static_cast<double>(result.rows) / result.wall_seconds;
     if (connections == 64) preds_at_64 = preds_per_sec;
     std::string versions;
     for (const uint32_t version : result.versions) {
@@ -191,17 +232,11 @@ int Run() {
     Result<PredictionClient> client =
         PredictionClient::Connect("127.0.0.1", port);
     T3_CHECK_OK(client);
-    const PredictRowsRequest request = MakeRequest(999, num_features);
-    Result<PredictResponse> response = client->PredictRows(request);
+    Result<PredictResponse> response =
+        client->PredictRows(prepared[0].request);
     T3_CHECK_OK(response);
     T3_CHECK(response->model_version == 2);
-    for (size_t i = 0; i < request.num_rows(); ++i) {
-      T3_CHECK(response->predictions[i] ==
-               swap_model.PredictPipelineSeconds(
-                   request.rows.data() +
-                       i * static_cast<size_t>(num_features),
-                   request.input_cardinalities[i]));
-    }
+    CheckResponse(prepared[0], *response);
   }
 
   const bool pass = preds_at_64 >= kTargetPredsPerSec;

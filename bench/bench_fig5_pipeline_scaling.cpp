@@ -35,10 +35,11 @@ void Run() {
 
   PrintExperimentHeader(
       "Figure 5: Prediction latency by number of pipelines",
-      "compiled ST scales ~1.5us -> ~700us over 1..1000 pipelines; "
-      "interpreted ST is much slower; interpreted MT only wins for very "
-      "large queries (note: this container has a single core, so MT shows "
-      "thread overhead without parallel speedup).");
+      StrFormat("compiled ST scales ~1.5us -> ~700us over 1..1000 "
+                "pipelines; interpreted ST is much slower; interpreted MT "
+                "only wins for very large queries (MT pool: %zu threads; "
+                "with one core it shows thread overhead, no speedup).",
+                mt_pool.num_threads()));
   ReportTable table({"Pipelines", "Compiled ST", "Interpreted ST",
                      "Interpreted MT"});
   for (size_t n : {1u, 3u, 10u, 30u, 100u, 300u, 1000u}) {

@@ -1,14 +1,19 @@
 // Reproduces Table 2 (tree-model rows): prediction throughput in
-// predictions per second, for back-to-back single-row evaluation vs one
-// batched call over a >1000-row pipeline matrix, across the three forest
-// evaluators. The paper's finding: batching helps even tree models; the
-// compiled path dominates, and the SIMD batch kernels are the acceptance
-// gate of the batch JIT — batched compiled throughput must be >= 2x the
-// single-row scalar-JIT throughput on the main model, or the bench exits 1.
+// predictions per second of the three forest evaluators on the trained main
+// model, swept over batch sizes: back-to-back single-row calls, PredictBatch
+// calls of 8, 64 and 1024 rows, and one batched call over the whole
+// >1000-row pipeline matrix of the test split. Every call starts where the
+// previous one stopped, so no size times one cached row. The paper's
+// finding: batching helps even tree models; the compiled path dominates, and
+// the SIMD batch kernels are the acceptance gate of the batch JIT — the
+// all-rows compiled throughput must be >= 2x the single-row scalar-JIT
+// throughput, or the bench exits 1.
 
+#include <array>
 #include <cstddef>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bench_util.h"
@@ -18,21 +23,28 @@
 namespace t3 {
 namespace {
 
-// Exits 1 unless `evaluator`'s PredictBatch over `rows` — the exact call the
-// bench times — matches the forest's per-row Predict bit for bit.
+// The batch sizes between the single-row and the all-rows column.
+constexpr std::array<size_t, 3> kSweepRows = {8, 64, 1024};
+
+// Exits 1 unless `evaluator`'s PredictBatch over consecutive `batch`-row
+// slices of `rows` — the calls the bench times — matches the forest's
+// per-row Predict bit for bit.
 void CheckBatchMatchesForest(const ForestEvaluator& evaluator,
-                             const char* name, const Forest& forest,
-                             const std::vector<double>& rows, size_t dim) {
-  const size_t num_rows = rows.size() / dim;
-  std::vector<double> out(num_rows);
-  evaluator.PredictBatch(rows.data(), num_rows, dim, out.data());
-  for (size_t i = 0; i < num_rows; ++i) {
-    const double expected = forest.Predict(&rows[i * dim]);
-    if (std::memcmp(&out[i], &expected, sizeof(double)) != 0) {
-      std::fprintf(stderr,
-                   "%s PredictBatch row %zu: %.17g != forest Predict %.17g\n",
-                   name, i, out[i], expected);
-      std::exit(1);
+                             const char* name,
+                             const std::vector<double>& rows, size_t dim,
+                             const std::vector<double>& expected,
+                             size_t batch) {
+  std::vector<double> out(batch);
+  for (size_t start = 0; start + batch <= expected.size(); start += batch) {
+    evaluator.PredictBatch(&rows[start * dim], batch, dim, out.data());
+    for (size_t i = 0; i < batch; ++i) {
+      if (std::memcmp(&out[i], &expected[start + i], sizeof(double)) != 0) {
+        std::fprintf(stderr,
+                     "%s PredictBatch(%zu) row %zu: %.17g != forest "
+                     "Predict %.17g\n",
+                     name, batch, start + i, out[i], expected[start + i]);
+        std::exit(1);
+      }
     }
   }
 }
@@ -56,19 +68,34 @@ int Run() {
     }
   }
   const size_t num_rows = rows.size() / dim;
+  constexpr size_t kMaxSweepRows = kSweepRows.back();
+  T3_CHECK(num_rows >= kMaxSweepRows);
+  // The sweep's slices wrap around the matrix: its first kMaxSweepRows rows
+  // are repeated after the end, so a slice starting at any row offset below
+  // num_rows is contiguous.
+  rows.insert(rows.end(), rows.begin(),
+              rows.begin() + static_cast<std::ptrdiff_t>(kMaxSweepRows * dim));
   std::vector<double> out(num_rows);
 
-  const InterpretedEvaluator interpreted(model.forest());
-  const FlatEvaluator flat(model.forest());
-  auto compiled = CompiledForest::Compile(model.forest());
+  const Forest& forest = model.forest();
+  const InterpretedEvaluator interpreted(forest);
+  const FlatEvaluator flat(forest);
+  auto compiled = CompiledForest::Compile(forest);
   T3_CHECK(compiled.ok());
   const CompiledForest& jit = **compiled;
 
-  // A throughput only means something for outputs that are right.
-  CheckBatchMatchesForest(interpreted, "interpreted", model.forest(), rows,
-                          dim);
-  CheckBatchMatchesForest(flat, "flat", model.forest(), rows, dim);
-  CheckBatchMatchesForest(jit, "compiled", model.forest(), rows, dim);
+  // A throughput only means something for outputs that are right: every
+  // evaluator's timed slices are first checked against these.
+  std::vector<double> expected(num_rows + kMaxSweepRows);
+  for (size_t i = 0; i < expected.size(); ++i) {
+    expected[i] = forest.Predict(&rows[i * dim]);
+  }
+  const bool simd = jit.has_batch_kernels() && BatchKernelsEnabled();
+  const std::array<const ForestEvaluator*, 3> evaluators = {&interpreted,
+                                                            &flat, &jit};
+  const std::array<const char*, 3> labels = {
+      "T3 interpreted", "T3 flat",
+      simd ? "T3 compiled (SIMD batch)" : "T3 compiled"};
 
   volatile double sink = 0;
   size_t cursor = 0;
@@ -77,6 +104,17 @@ int Run() {
     return bench::Throughput([&] {
       sink = evaluator.Predict(&rows[(cursor++ % num_rows) * dim]);
     });
+  };
+  auto sweep = [&](const ForestEvaluator& evaluator, size_t batch) {
+    cursor = 0;
+    const int iterations = batch >= 1024 ? 60 : 400;
+    return bench::MeasureBatchThroughput(
+        [&] {
+          evaluator.PredictBatch(&rows[cursor * dim], batch, dim, out.data());
+          cursor = (cursor + batch) % num_rows;
+          sink = out[batch - 1];
+        },
+        batch, iterations, iterations / 10);
   };
   auto batched = [&](const ForestEvaluator& evaluator) {
     return bench::MeasureBatchThroughput(
@@ -87,37 +125,47 @@ int Run() {
         num_rows);
   };
 
-  const double interp_single = single(interpreted);
-  const double flat_single = single(flat);
-  const double jit_single = single(jit);
-  const bench::BatchTiming interp_batch = batched(interpreted);
-  const bench::BatchTiming flat_batch = batched(flat);
-  const bench::BatchTiming jit_batch = batched(jit);
-
-  const bool simd = jit.has_batch_kernels() && BatchKernelsEnabled();
   PrintExperimentHeader(
       "Table 2: Throughput of tree evaluators in predictions per second",
-      StrFormat("single-row calls vs one PredictBatch over %zu pipeline rows "
-                "(%zu queries); compiled batch kernels: %s.",
-                num_rows, kBatchQueries,
+      StrFormat("%zu-tree main model; single-row calls, PredictBatch over "
+                "consecutive 8/64/1024-row slices, and one PredictBatch over "
+                "all %zu pipeline rows (%zu test queries); compiled batch "
+                "kernels: %s.",
+                forest.trees.size(), num_rows, kBatchQueries,
                 simd ? "SIMD (AVX 8-wide)" : "per-row fallback"));
-  ReportTable table({"Evaluator", "Single preds/s", "Batched preds/s",
-                     "Batch p50", "Batch p99", "Gain"});
-  auto row = [&](const char* name, double single_tput,
-                 const bench::BatchTiming& batch) {
-    table.AddRow({name, StrFormat("%.0f", single_tput),
-                  StrFormat("%.0f", batch.preds_per_sec),
-                  bench::FormatSeconds(batch.p50_seconds),
-                  bench::FormatSeconds(batch.p99_seconds),
-                  StrFormat("%.1fx", batch.preds_per_sec / single_tput)});
-  };
-  row("T3 interpreted", interp_single, interp_batch);
-  row("T3 flat", flat_single, flat_batch);
-  row(simd ? "T3 compiled (SIMD batch)" : "T3 compiled", jit_single,
-      jit_batch);
+  std::vector<std::string> header = {"Evaluator", "1 row"};
+  for (const size_t batch : kSweepRows) {
+    header.push_back(StrFormat("%zu rows", batch));
+  }
+  header.insert(header.end(), {StrFormat("All %zu rows", num_rows),
+                               "All p50", "All p99", "Gain"});
+  ReportTable table(header);
+  double ratio = 0.0;
+  for (size_t e = 0; e < evaluators.size(); ++e) {
+    const ForestEvaluator& evaluator = *evaluators[e];
+    for (const size_t batch : kSweepRows) {
+      CheckBatchMatchesForest(evaluator, labels[e], rows, dim, expected, batch);
+    }
+    CheckBatchMatchesForest(evaluator, labels[e], rows, dim, expected,
+                            num_rows);
+    const double single_tput = single(evaluator);
+    std::vector<std::string> cells = {labels[e],
+                                      StrFormat("%.0f", single_tput)};
+    for (const size_t batch : kSweepRows) {
+      cells.push_back(
+          StrFormat("%.0f", sweep(evaluator, batch).preds_per_sec));
+    }
+    const bench::BatchTiming all = batched(evaluator);
+    const double gain = all.preds_per_sec / single_tput;
+    cells.insert(cells.end(), {StrFormat("%.0f", all.preds_per_sec),
+                               bench::FormatSeconds(all.p50_seconds),
+                               bench::FormatSeconds(all.p99_seconds),
+                               StrFormat("%.1fx", gain)});
+    table.AddRow(cells);
+    if (&evaluator == &jit) ratio = gain;
+  }
   table.Print();
 
-  const double ratio = jit_batch.preds_per_sec / jit_single;
   const bool pass = ratio >= 2.0;
   std::printf("\nBatched compiled vs single-row JIT: %.2fx (target >= 2x) "
               "[%s]\n",

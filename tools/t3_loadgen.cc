@@ -16,8 +16,10 @@
 //                 request in flight (default 0).
 // --seed        — feature-value RNG seed (default 42).
 // --swap-at     — seconds into the run at which to send one kSwapModel
-//                 frame on a dedicated admin connection.
-// --swap-path   — model path of that swap ("" = the server's default).
+//                 frame on a dedicated admin connection; must be less than
+//                 --seconds.
+// --swap-path   — model path of that swap ("" = the server's default);
+//                 requires --swap-at.
 // --shutdown    — send kShutdown after the run and wait for the ack.
 //
 // Every request must be answered: the report counts errors, and any error
@@ -72,6 +74,7 @@ constexpr const char* kTool = "t3_loadgen";
 
 bool ParseArgs(int argc, char** argv, Args* args) {
   bool have_port = false;
+  bool have_swap_path = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--host") {
@@ -125,6 +128,7 @@ bool ParseArgs(int argc, char** argv, Args* args) {
                     &args->swap_path)) {
         return false;
       }
+      have_swap_path = true;
     } else if (arg == "--shutdown") {
       args->shutdown = true;
     } else {
@@ -132,6 +136,13 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     }
   }
   if (!have_port) return CliError(kTool, "--port", "is required");
+  // A swap the run would never send is an error, not a silent no-op.
+  if (args->swap_at >= args->seconds) {
+    return CliError(kTool, "--swap-at", "must be less than --seconds");
+  }
+  if (have_swap_path && args->swap_at < 0.0) {
+    return CliError(kTool, "--swap-path", "requires --swap-at");
+  }
   return true;
 }
 
@@ -255,7 +266,7 @@ int Run(int argc, char** argv) {
 
   bool swap_failed = false;
   uint32_t swapped_version = 0;
-  if (args.swap_at > 0.0 && args.swap_at < args.seconds) {
+  if (args.swap_at > 0.0) {
     std::this_thread::sleep_for(
         std::chrono::duration<double>(args.swap_at));
     Result<uint32_t> version = admin->Swap(args.swap_path);
