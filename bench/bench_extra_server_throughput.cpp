@@ -1,6 +1,6 @@
 // Extra experiment: end-to-end throughput of the T3 prediction service
 // (src/server) — the full wire-protocol path (client encode -> TCP ->
-// server batcher -> SIMD PredictBatch -> decode), not just the in-process
+// server batcher -> QuickScorer PredictBatch -> decode), not just the in-process
 // evaluator of Table 2. Sweeps concurrent connections {1, 8, 64}; the
 // 64-connection run performs a mid-run atomic hot swap. Each connection
 // cycles through prebuilt requests of the corpus's real pipeline rows, and
@@ -173,18 +173,17 @@ int Run() {
   T3_CHECK_OK(server);
   const uint16_t port = (*server)->port();
 
-  const bool simd =
-      (*server)->registry().Current()->compiled != nullptr &&
-      (*server)->registry().Current()->compiled->has_batch_kernels();
+  const char* row_evaluator =
+      (*server)->registry().Current()->evaluator_name();
   PrintExperimentHeader(
       "Extra: prediction-server throughput over the wire protocol",
       StrFormat("closed loop, %zu corpus pipeline rows/request cycled over "
                 "%zu prebuilt requests, %.1fs per config, %d-tree model; "
-                "batch kernels: %s. The 64-connection run hot-swaps "
+                "row_evaluator %s. The 64-connection run hot-swaps "
                 "mid-flight.",
                 kRowsPerRequest, prepared.size(), kBudgetSeconds,
                 static_cast<int>(main_model.forest().trees.size()),
-                simd ? "SIMD" : "per-row fallback"));
+                row_evaluator));
 
   ReportTable table({"Connections", "Requests", "Preds/s", "p50", "p99",
                      "Versions", "Dropped"});

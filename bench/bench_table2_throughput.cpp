@@ -1,11 +1,12 @@
 // Reproduces Table 2 (tree-model rows): prediction throughput in
-// predictions per second of the three forest evaluators on the trained main
+// predictions per second of the four forest evaluators on the trained main
 // model, swept over batch sizes: back-to-back single-row calls, PredictBatch
 // calls of 8, 64 and 1024 rows, and one batched call over the whole
 // >1000-row pipeline matrix of the test split. Every call starts where the
 // previous one stopped, so no size times one cached row. The paper's
-// finding: batching helps even tree models; the compiled path dominates, and
-// the SIMD batch kernels are the acceptance gate of the batch JIT — the
+// finding: batching helps even tree models and compiled trees beat
+// interpretation. QuickScorer, the serving evaluator, is timed alongside.
+// The SIMD batch kernels are the acceptance gate of the batch JIT: the
 // all-rows compiled throughput must be >= 2x the single-row scalar-JIT
 // throughput, or the bench exits 1.
 
@@ -80,6 +81,8 @@ int Run() {
   const Forest& forest = model.forest();
   const InterpretedEvaluator interpreted(forest);
   const FlatEvaluator flat(forest);
+  auto quickscorer = QuickScorerEvaluator::Build(forest);
+  T3_CHECK_OK(quickscorer);
   auto compiled = CompiledForest::Compile(forest);
   T3_CHECK(compiled.ok());
   const CompiledForest& jit = **compiled;
@@ -91,10 +94,10 @@ int Run() {
     expected[i] = forest.Predict(&rows[i * dim]);
   }
   const bool simd = jit.has_batch_kernels() && BatchKernelsEnabled();
-  const std::array<const ForestEvaluator*, 3> evaluators = {&interpreted,
-                                                            &flat, &jit};
-  const std::array<const char*, 3> labels = {
-      "T3 interpreted", "T3 flat",
+  const std::array<const ForestEvaluator*, 4> evaluators = {
+      &interpreted, &flat, quickscorer->get(), &jit};
+  const std::array<const char*, 4> labels = {
+      "T3 interpreted", "T3 flat", "T3 QuickScorer",
       simd ? "T3 compiled (SIMD batch)" : "T3 compiled"};
 
   volatile double sink = 0;

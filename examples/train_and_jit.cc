@@ -1,7 +1,7 @@
 // End-to-end tour of the model-core subsystem: generate a synthetic
 // regression problem, train a gradient-boosted forest on it, serialize it,
-// JIT-compile it to native code, and compare interpreted vs compiled
-// predictions and latency.
+// JIT-compile it to native code, and compare the interpreted, flat,
+// QuickScorer and compiled predictions and latency.
 //
 // Run from anywhere: ./build/examples/example_train_and_jit
 
@@ -80,13 +80,23 @@ int main() {
                 compiled.status().ToString().c_str());
   }
 
+  // QuickScorer, the evaluator the server uses (trees of <= 64 leaves).
+  Result<std::unique_ptr<QuickScorerEvaluator>> quickscorer =
+      QuickScorerEvaluator::Build(*reloaded);
+  if (!quickscorer.ok()) {
+    std::printf("QuickScorer unavailable (%s)\n",
+                quickscorer.status().ToString().c_str());
+  }
+
   // 5. Predict and compare.
   std::vector<double> probe(kFeatures, 0.5);
   const double reference = interpreted.Predict(probe.data());
   std::printf("prediction at x=0.5..: %.5f (truth %.5f)\n", reference,
               GroundTruth(probe.data()));
   if (best_evaluator->Predict(probe.data()) != reference ||
-      flat.Predict(probe.data()) != reference) {
+      flat.Predict(probe.data()) != reference ||
+      (quickscorer.ok() &&
+       (*quickscorer)->Predict(probe.data()) != reference)) {
     std::fprintf(stderr, "evaluators disagree!\n");
     return 1;
   }
@@ -105,6 +115,9 @@ int main() {
   };
   std::printf("per-row latency: interpreted %.0fns, flat %.0fns",
               median_nanos(interpreted), median_nanos(flat));
+  if (quickscorer.ok()) {
+    std::printf(", quickscorer %.0fns", median_nanos(**quickscorer));
+  }
   if (compiled.ok()) std::printf(", compiled %.0fns", median_nanos(**compiled));
   std::printf("\n");
   return 0;

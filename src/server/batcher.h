@@ -34,7 +34,7 @@ struct BatcherStats {
 };
 
 /// Coalesces concurrent prediction requests into single PredictBatch calls
-/// on the SIMD path. Connection workers submit jobs (feature rows + a
+/// on the serving evaluator. Connection workers submit jobs (feature rows + a
 /// completion callback) and continue serving other sockets; one inference
 /// loop drains the queue, packs every waiting job into one row-major matrix
 /// (up to a fixed row cap), snapshots the current model once, runs one

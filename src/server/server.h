@@ -52,7 +52,7 @@ struct ServerStats {
 ///    listener, so accepted connections spread across loops;
 ///  - prediction requests are decoded on the worker and submitted to the
 ///    RequestBatcher, which coalesces every in-flight request into single
-///    SIMD PredictBatch calls; completions re-enter the owning worker via
+///    PredictBatch calls; completions re-enter the owning worker via
 ///    its wake pipe, so a worker keeps serving other sockets while
 ///    predictions are in flight;
 ///  - models are versioned snapshots swapped atomically through the

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "analysis/batch_equivalence_validator.h"
 #include "analysis/forest_diff.h"
 #include "common/check.h"
 #include "common/string_util.h"
@@ -32,14 +33,30 @@ Result<std::shared_ptr<const ServingModel>> MakeServingModel(
   serving->model = std::move(model);
   serving->version = version;
   serving->source = std::move(source);
-  serving->flat = std::make_unique<FlatEvaluator>(serving->model.forest());
-  Result<std::unique_ptr<CompiledForest>> compiled =
-      CompiledForest::Compile(serving->model.forest());
-  if (compiled.ok()) {
-    serving->compiled = *std::move(compiled);
+  const Forest& forest = serving->model.forest();
+  serving->flat = std::make_unique<FlatEvaluator>(forest);
+  Result<std::unique_ptr<QuickScorerEvaluator>> quickscorer =
+      QuickScorerEvaluator::Build(forest);
+  // A tree wider than the leaf mask is not fatal: the flat fallback is
+  // bit-identical, just slower.
+  if (quickscorer.ok()) {
+#ifndef NDEBUG
+    // One witness row per leaf cell, bit-compared against Forest::Predict.
+    const QuickScorerEvaluator* qs = quickscorer->get();
+    const AnalysisReport differential = BatchDifferentialCheck(
+        forest, [qs](const double* rows, size_t num_rows,
+                     size_t num_features, double* out) {
+          qs->PredictBatch(rows, num_rows, num_features, out);
+        });
+    if (differential.HasErrors()) {
+      return InternalError(StrFormat(
+          "model %s: differential check rejected QuickScorer: %s",
+          serving->source.c_str(),
+          differential.ToStatus().message().c_str()));
+    }
+#endif
+    serving->quickscorer = *std::move(quickscorer);
   }
-  // Compile failure (non-x86-64, mmap denial) is not fatal: the flat
-  // fallback is bit-identical, just slower.
   return std::shared_ptr<const ServingModel>(std::move(serving));
 }
 

@@ -9,33 +9,37 @@
 
 #include "model/t3_model.h"
 #include "treejit/evaluator.h"
-#include "treejit/jit.h"
 
 namespace t3 {
 
 /// One immutable, versioned model snapshot the server predicts with: the
-/// T3Model plus its compiled evaluators. Snapshots are shared read-only
+/// T3Model plus its row evaluators. Snapshots are shared read-only
 /// across worker threads and batches via shared_ptr<const ServingModel>;
 /// a hot swap publishes a new snapshot and in-flight batches finish on the
 /// old one (the shared_ptr keeps it alive), so no request is ever dropped
 /// or served by a half-swapped model.
 struct ServingModel {
   T3Model model;
-  /// JIT-compiled forest (with the SIMD batch kernels when available);
-  /// null when compilation is unsupported on this host.
-  std::unique_ptr<CompiledForest> compiled;
+  /// QuickScorer bitvector evaluator; null when a tree has more leaves
+  /// than its 64-bit leaf mask holds.
+  std::unique_ptr<QuickScorerEvaluator> quickscorer;
   /// Flattened-interpreter fallback; always present, bit-identical.
   std::unique_ptr<FlatEvaluator> flat;
   uint32_t version = 0;
   std::string source;  ///< File path or a descriptive tag, for stats.
 
-  /// The fastest available evaluator (compiled, else flat). Every
+  /// The evaluator that serves: QuickScorer, else flat. Every
   /// ForestEvaluator is bit-identical to Forest::Predict, so the choice
   /// never changes results.
   const ForestEvaluator& evaluator() const {
-    return compiled != nullptr
-               ? static_cast<const ForestEvaluator&>(*compiled)
+    return quickscorer != nullptr
+               ? static_cast<const ForestEvaluator&>(*quickscorer)
                : *flat;
+  }
+
+  /// Name of the evaluator that serves, for stats: "quickscorer" or "flat".
+  const char* evaluator_name() const {
+    return quickscorer != nullptr ? "quickscorer" : "flat";
   }
 
   int num_features() const { return model.forest().num_features; }
@@ -50,9 +54,11 @@ struct ServingModel {
 
 /// Wraps `model` as a serving snapshot: re-proves text-format bit-exactness
 /// (serialize -> reparse -> ProveForestsEqual, the same proof
-/// Workbench::GetModel runs on freshly written caches), then compiles the
-/// JIT evaluators. InternalError when the proof fails; a model that cannot
-/// be proven is never published.
+/// Workbench::GetModel runs on freshly written caches), then builds the
+/// flat and QuickScorer evaluators. Debug builds also run
+/// BatchDifferentialCheck over QuickScorer. InternalError when a proof or
+/// the check fails; a model that cannot be proven is never published. A
+/// tree wider than QuickScorer's leaf mask is not an error: flat serves.
 Result<std::shared_ptr<const ServingModel>> MakeServingModel(
     T3Model model, uint32_t version, std::string source);
 
@@ -65,7 +71,7 @@ Result<std::shared_ptr<const ServingModel>> LoadServingModel(
 /// lock acquires):
 ///
 ///  - publishing under the lock makes every write that built the snapshot
-///    (forest arrays, mapped JIT code, the mprotect to PROT_EXEC) visible
+///    (forest arrays, evaluator tables) visible
 ///    to any thread whose Current() observes the new pointer;
 ///  - readers copy the shared_ptr inside the critical section and hold the
 ///    reference outside it, so the old snapshot outlives every batch still

@@ -41,6 +41,33 @@ inline int BuildRandomSubtree(Tree* tree, Rng* rng, int num_features,
   return index;
 }
 
+/// Builds a subtree with exactly `num_leaves` leaves (>= 1), split as
+/// evenly as possible, with random features, grid thresholds and leaf
+/// values; returns its root index. Wider than any depth-bounded random
+/// tree: the way to reach a given leaf count.
+inline int BuildWideSubtree(Tree* tree, Rng* rng, int num_features,
+                            int num_leaves) {
+  const int index = static_cast<int>(tree->nodes.size());
+  tree->nodes.emplace_back();
+  if (num_leaves == 1) {
+    tree->nodes[index].is_leaf = true;
+    tree->nodes[index].value = rng->UniformDouble(-10, 10);
+    return index;
+  }
+  const int feature = static_cast<int>(rng->UniformInt(0, num_features - 1));
+  const double threshold = 0.25 * rng->UniformInt(-8, 8);
+  const int left =
+      BuildWideSubtree(tree, rng, num_features, num_leaves / 2);
+  const int right =
+      BuildWideSubtree(tree, rng, num_features, num_leaves - num_leaves / 2);
+  TreeNode& node = tree->nodes[index];
+  node.feature = feature;
+  node.threshold = threshold;
+  node.left = left;
+  node.right = right;
+  return index;
+}
+
 /// A valid random forest: base score in [-5, 5], leaves in [-10, 10].
 inline Forest MakeRandomForest(Rng* rng, int num_features, int num_trees,
                                int max_depth) {

@@ -229,9 +229,52 @@ TEST(PredictionServerTest, PredictRowsBitMatchesDirectModel) {
           request.rows.data() + i * kFeatures,
           request.input_cardinalities[i]);
       // Bit-exact, not approximately: the whole serving path (batcher,
-      // SIMD evaluators, wire encoding) must not perturb a single ULP.
+      // QuickScorer, wire encoding) must not perturb a single ULP.
       EXPECT_EQ(response->predictions[i], expected) << "row " << i;
     }
+  }
+  EXPECT_NE((*server)->StatsText().find("row_evaluator quickscorer\n"),
+            std::string::npos);
+  (*server)->Stop();
+}
+
+// QuickScorer's leaf masks hold 64 leaves: a model with a 65-leaf tree
+// serves with the flat evaluator instead, still bit-identical, and the
+// stats name the evaluator that serves.
+TEST(PredictionServerTest, TreeWiderThanTheLeafMaskServesWithFlat) {
+  const int kFeatures = 6;
+  Forest forest = SeededForest(111, kFeatures, 4);
+  Rng rng(112);
+  Tree wide;
+  BuildWideSubtree(&wide, &rng, kFeatures, /*num_leaves=*/65);
+  forest.trees.insert(forest.trees.begin() + 2, std::move(wide));
+  ASSERT_TRUE(forest.Validate().ok());
+  const T3Model reference(forest, PredictionTarget::kPerTuple);
+  Result<std::shared_ptr<const ServingModel>> serving =
+      MakeServingModel(reference, 1, "test:wide");
+  ASSERT_TRUE(serving.ok()) << serving.status().ToString();
+  EXPECT_EQ((*serving)->quickscorer, nullptr);
+  EXPECT_STREQ((*serving)->evaluator_name(), "flat");
+  Result<std::unique_ptr<PredictionServer>> server =
+      PredictionServer::Start(*std::move(serving), TestServerOptions());
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  EXPECT_NE((*server)->StatsText().find("row_evaluator flat\n"),
+            std::string::npos);
+
+  Result<PredictionClient> client =
+      PredictionClient::Connect("127.0.0.1", (*server)->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  const PredictRowsRequest request = MakeRandomRequest(113, 64, kFeatures);
+  Result<PredictResponse> response = client->PredictRows(request);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  ASSERT_EQ(response->predictions.size(), request.num_rows());
+  for (size_t i = 0; i < request.num_rows(); ++i) {
+    const double expected = reference.PredictPipelineSeconds(
+        request.rows.data() + i * kFeatures, request.input_cardinalities[i]);
+    EXPECT_EQ(std::memcmp(&response->predictions[i], &expected,
+                          sizeof(double)),
+              0)
+        << "row " << i;
   }
   (*server)->Stop();
 }

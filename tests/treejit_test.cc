@@ -1,5 +1,7 @@
+#include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <filesystem>
 #include <initializer_list>
 #include <limits>
 #include <memory>
@@ -8,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/batch_equivalence_validator.h"
 #include "analysis/x86_decoder.h"
 #include "common/cpu_features.h"
 #include "common/random.h"
@@ -35,7 +38,7 @@ std::vector<double> MakeRandomRow(Rng* rng, int num_features) {
   return row;
 }
 
-// The tentpole invariant: all three evaluators are bit-identical on 100+
+// The tentpole invariant: all four evaluators are bit-identical on 100+
 // random forests x random rows, including NaN and threshold-boundary inputs.
 TEST(EvaluatorAgreementTest, AllEvaluatorsBitExactOnRandomForests) {
   Rng rng(2024);
@@ -50,6 +53,9 @@ TEST(EvaluatorAgreementTest, AllEvaluatorsBitExactOnRandomForests) {
 
     const InterpretedEvaluator interpreted(forest);
     const FlatEvaluator flat(forest);
+    Result<std::unique_ptr<QuickScorerEvaluator>> quickscorer =
+        QuickScorerEvaluator::Build(forest);
+    ASSERT_TRUE(quickscorer.ok()) << quickscorer.status().ToString();
     Result<std::unique_ptr<CompiledForest>> compiled =
         CompiledForest::Compile(forest);
     if (JitSupported()) {
@@ -63,6 +69,8 @@ TEST(EvaluatorAgreementTest, AllEvaluatorsBitExactOnRandomForests) {
       const double reference = interpreted.Predict(row.data());
       ASSERT_EQ(flat.Predict(row.data()), reference)
           << "flat disagrees, trial " << trial << " row " << r;
+      ASSERT_EQ((*quickscorer)->Predict(row.data()), reference)
+          << "QuickScorer disagrees, trial " << trial << " row " << r;
       if (compiled.ok()) {
         ASSERT_EQ((*compiled)->Predict(row.data()), reference)
             << "JIT disagrees, trial " << trial << " row " << r;
@@ -103,6 +111,9 @@ TEST(EvaluatorAgreementTest, NanHeavyTrifectaAcrossNanFractions) {
 
       const InterpretedEvaluator interpreted(forest);
       const FlatEvaluator flat(forest);
+      Result<std::unique_ptr<QuickScorerEvaluator>> quickscorer =
+          QuickScorerEvaluator::Build(forest);
+      ASSERT_TRUE(quickscorer.ok()) << quickscorer.status().ToString();
       Result<std::unique_ptr<CompiledForest>> compiled =
           CompiledForest::Compile(forest);
       if (JitSupported()) {
@@ -126,6 +137,9 @@ TEST(EvaluatorAgreementTest, NanHeavyTrifectaAcrossNanFractions) {
         ASSERT_EQ(flat.Predict(row.data()), reference)
             << "flat disagrees, nan_fraction " << nan_fraction << " trial "
             << trial << " row " << r;
+        ASSERT_EQ((*quickscorer)->Predict(row.data()), reference)
+            << "QuickScorer disagrees, nan_fraction " << nan_fraction
+            << " trial " << trial << " row " << r;
         if (compiled.ok()) {
           ASSERT_EQ((*compiled)->Predict(row.data()), reference)
               << "JIT disagrees, nan_fraction " << nan_fraction << " trial "
@@ -166,6 +180,11 @@ TEST(EvaluatorAgreementTest, ThresholdBoundaryGoesRight) {
   EXPECT_EQ(interpreted.Predict(&below), -1.0);
   EXPECT_EQ(flat.Predict(&boundary), 1.0);
   EXPECT_EQ(flat.Predict(&below), -1.0);
+  Result<std::unique_ptr<QuickScorerEvaluator>> quickscorer =
+      QuickScorerEvaluator::Build(forest);
+  ASSERT_TRUE(quickscorer.ok());
+  EXPECT_EQ((*quickscorer)->Predict(&boundary), 1.0);
+  EXPECT_EQ((*quickscorer)->Predict(&below), -1.0);
   if (compiled.ok()) {
     EXPECT_EQ((*compiled)->Predict(&boundary), 1.0);
     EXPECT_EQ((*compiled)->Predict(&below), -1.0);
@@ -193,6 +212,11 @@ TEST(EvaluatorAgreementTest, NanHonorsDefaultLeft) {
     const double nan = std::numeric_limits<double>::quiet_NaN();
     EXPECT_EQ(forest.Predict(&nan), expected);
     EXPECT_EQ(FlatEvaluator(forest).Predict(&nan), expected);
+    Result<std::unique_ptr<QuickScorerEvaluator>> quickscorer =
+        QuickScorerEvaluator::Build(forest);
+    ASSERT_TRUE(quickscorer.ok());
+    EXPECT_EQ((*quickscorer)->Predict(&nan), expected)
+        << "default_left=" << default_left;
     Result<std::unique_ptr<CompiledForest>> compiled =
         CompiledForest::Compile(forest);
     if (compiled.ok()) {
@@ -221,14 +245,214 @@ TEST(EvaluatorAgreementTest, InfinityFollowsStrictLess) {
   const double neg_inf = -pos_inf;
   Result<std::unique_ptr<CompiledForest>> compiled =
       CompiledForest::Compile(forest);
+  Result<std::unique_ptr<QuickScorerEvaluator>> quickscorer =
+      QuickScorerEvaluator::Build(forest);
+  ASSERT_TRUE(quickscorer.ok());
   for (const auto& [x, expected] :
        {std::pair{pos_inf, 1.0}, std::pair{neg_inf, -1.0}}) {
     EXPECT_EQ(forest.Predict(&x), expected);
     EXPECT_EQ(FlatEvaluator(forest).Predict(&x), expected);
+    EXPECT_EQ((*quickscorer)->Predict(&x), expected);
     if (compiled.ok()) {
       EXPECT_EQ((*compiled)->Predict(&x), expected);
     }
   }
+}
+
+// --- QuickScorer: the serving evaluator's proof and its edge cases. ---
+
+uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
+
+// BatchDifferentialCheck over QuickScorer: one witness row per leaf cell of
+// every tree, bit-compared against Forest::Predict.
+AnalysisReport QuickScorerDifferential(const Forest& forest) {
+  Result<std::unique_ptr<QuickScorerEvaluator>> quickscorer =
+      QuickScorerEvaluator::Build(forest);
+  if (!quickscorer.ok()) {
+    AnalysisReport report;
+    report.Add(Severity::kError, "build-failed", -1, -1,
+               quickscorer.status().ToString());
+    return report;
+  }
+  const QuickScorerEvaluator* qs = quickscorer->get();
+  return BatchDifferentialCheck(
+      forest, [qs](const double* rows, size_t num_rows, size_t num_features,
+                   double* out) {
+        qs->PredictBatch(rows, num_rows, num_features, out);
+      });
+}
+
+// A one-split tree on feature 0: x < threshold -> `left`, else `right`.
+Tree Stump(double threshold, double left, double right,
+           bool default_left = false) {
+  Tree tree;
+  tree.nodes.resize(3);
+  tree.nodes[0].feature = 0;
+  tree.nodes[0].threshold = threshold;
+  tree.nodes[0].left = 1;
+  tree.nodes[0].right = 2;
+  tree.nodes[0].default_left = default_left;
+  tree.nodes[1].is_leaf = true;
+  tree.nodes[1].value = left;
+  tree.nodes[2].is_leaf = true;
+  tree.nodes[2].value = right;
+  return tree;
+}
+
+Tree SingleLeaf(double value) {
+  Tree tree;
+  tree.nodes.resize(1);
+  tree.nodes[0].is_leaf = true;
+  tree.nodes[0].value = value;
+  return tree;
+}
+
+TEST(QuickScorerTest, DifferentialCheckOverEveryFixtureModel) {
+  int fixtures = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::string(T3_SOURCE_DIR) + "/data")) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("model_", 0) != 0 || entry.path().extension() != ".txt") {
+      continue;
+    }
+    Result<Forest> forest = Forest::LoadFromFile(entry.path().string());
+    ASSERT_TRUE(forest.ok()) << name << ": " << forest.status().ToString();
+    const AnalysisReport report = QuickScorerDifferential(*forest);
+    EXPECT_FALSE(report.HasErrors())
+        << name << ": " << report.ToStatus().ToString();
+    ++fixtures;
+  }
+  EXPECT_GE(fixtures, 4);
+}
+
+TEST(QuickScorerTest, DifferentialCheckOverRandomForests) {
+  Rng rng(1515);
+  for (int trial = 0; trial < 60; ++trial) {
+    const int num_features = 1 + static_cast<int>(rng.UniformInt(0, 7));
+    const Forest forest = MakeRandomForest(
+        &rng, num_features, 1 + static_cast<int>(rng.UniformInt(0, 9)),
+        1 + static_cast<int>(rng.UniformInt(0, 5)));
+    const AnalysisReport report = QuickScorerDifferential(forest);
+    ASSERT_FALSE(report.HasErrors())
+        << "trial " << trial << ": " << report.ToStatus().ToString();
+  }
+  // More trees than Predict keeps masks for on the stack.
+  const AnalysisReport wide =
+      QuickScorerDifferential(MakeRandomForest(&rng, 4, 600, 3));
+  EXPECT_FALSE(wide.HasErrors()) << wide.ToStatus().ToString();
+}
+
+TEST(QuickScorerTest, SplitPredicateEdgeCases) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // Tree 0 routes NaN right, tree 1 left; tree 2 splits at 0.0 for the
+  // signed-zero case; trees 3 and 4 share tree 0's threshold, so one
+  // feature holds equal thresholds across trees.
+  Forest forest;
+  forest.num_features = 1;
+  forest.base_score = 0.125;
+  forest.trees = {Stump(1.5, -1.0, 1.0, /*default_left=*/false),
+                  Stump(1.5, -2.0, 2.0, /*default_left=*/true),
+                  Stump(0.0, -4.0, 4.0), Stump(1.5, -8.0, 8.0),
+                  Stump(1.5, -16.0, 16.0)};
+  ASSERT_TRUE(forest.Validate().ok());
+  Result<std::unique_ptr<QuickScorerEvaluator>> quickscorer =
+      QuickScorerEvaluator::Build(forest);
+  ASSERT_TRUE(quickscorer.ok()) << quickscorer.status().ToString();
+  for (const double x : {nan, 1.5, std::nextafter(1.5, 0.0),
+                         std::nextafter(1.5, 2.0), kInf, -kInf, -0.0, 0.0,
+                         std::nextafter(0.0, -1.0)}) {
+    EXPECT_EQ(Bits((*quickscorer)->Predict(&x)), Bits(forest.Predict(&x)))
+        << "x = " << x;
+  }
+  // Spelled out: equality and +inf go right, -0.0 is not below 0.0.
+  const double at = 1.5;
+  EXPECT_EQ((*quickscorer)->Predict(&at), 0.125 + 1 + 2 + 4 + 8 + 16);
+  EXPECT_EQ((*quickscorer)->Predict(&nan), 0.125 + 1 - 2 + 4 + 8 + 16);
+  const double minus_zero = -0.0;
+  EXPECT_EQ((*quickscorer)->Predict(&minus_zero), 0.125 - 1 - 2 + 4 - 8 - 16);
+  EXPECT_EQ((*quickscorer)->Predict(&kInf), 0.125 + 1 + 2 + 4 + 8 + 16);
+}
+
+TEST(QuickScorerTest, SingleLeafAndZeroTreeForests) {
+  Forest forest;
+  forest.num_features = 2;
+  forest.base_score = 3.25;
+  Result<std::unique_ptr<QuickScorerEvaluator>> empty =
+      QuickScorerEvaluator::Build(forest);
+  ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+  const double row[2] = {1.0, std::numeric_limits<double>::quiet_NaN()};
+  EXPECT_EQ(Bits((*empty)->Predict(row)), Bits(3.25));
+
+  forest.trees = {SingleLeaf(0.5), Stump(0.0, -1.0, 1.0), SingleLeaf(-0.75)};
+  Result<std::unique_ptr<QuickScorerEvaluator>> leaves =
+      QuickScorerEvaluator::Build(forest);
+  ASSERT_TRUE(leaves.ok()) << leaves.status().ToString();
+  EXPECT_EQ(Bits((*leaves)->Predict(row)), Bits(forest.Predict(row)));
+  EXPECT_FALSE(QuickScorerDifferential(forest).HasErrors());
+}
+
+// A complete depth-6 tree, one feature per level: 64 leaves, the widest
+// the mask holds. Row bits pick the leaf, so all 64 are reached, leaf 63
+// (the mask's top bit) included.
+TEST(QuickScorerTest, SixtyFourLeafTreeReachesEveryLeaf) {
+  constexpr int kDepth = 6;
+  Forest forest;
+  forest.num_features = kDepth;
+  forest.base_score = -0.5;
+  Tree tree;
+  const auto build = [&tree](const auto& self, int depth, int leaf) -> int {
+    const int index = static_cast<int>(tree.nodes.size());
+    tree.nodes.emplace_back();
+    if (depth == kDepth) {
+      tree.nodes[index].is_leaf = true;
+      tree.nodes[index].value = 1.0 + leaf;
+      return index;
+    }
+    const int left = self(self, depth + 1, 2 * leaf);
+    const int right = self(self, depth + 1, 2 * leaf + 1);
+    TreeNode& node = tree.nodes[index];
+    node.feature = depth;
+    node.threshold = 0.5;
+    node.left = left;
+    node.right = right;
+    return index;
+  };
+  build(build, 0, 0);
+  forest.trees.push_back(tree);
+  ASSERT_EQ(forest.NumLeaves(), 64u);
+  ASSERT_TRUE(forest.Validate().ok());
+  Result<std::unique_ptr<QuickScorerEvaluator>> quickscorer =
+      QuickScorerEvaluator::Build(forest);
+  ASSERT_TRUE(quickscorer.ok()) << quickscorer.status().ToString();
+  for (int leaf = 0; leaf < 64; ++leaf) {
+    std::vector<double> row(kDepth);
+    for (int d = 0; d < kDepth; ++d) row[d] = (leaf >> (kDepth - 1 - d)) & 1;
+    EXPECT_EQ(Bits((*quickscorer)->Predict(row.data())),
+              Bits(-0.5 + (1.0 + leaf)))
+        << "leaf " << leaf;
+  }
+  EXPECT_FALSE(QuickScorerDifferential(forest).HasErrors());
+}
+
+TEST(QuickScorerTest, TreeWiderThanTheMaskFailsConstruction) {
+  Rng rng(65);
+  Forest forest;
+  forest.num_features = 3;
+  for (const int num_leaves : {64, 2, 65}) {
+    Tree tree;
+    BuildWideSubtree(&tree, &rng, forest.num_features, num_leaves);
+    forest.trees.push_back(std::move(tree));
+  }
+  ASSERT_TRUE(forest.Validate().ok());
+  Result<std::unique_ptr<QuickScorerEvaluator>> quickscorer =
+      QuickScorerEvaluator::Build(forest);
+  ASSERT_FALSE(quickscorer.ok());
+  EXPECT_NE(quickscorer.status().message().find("tree 2 has 65 leaves"),
+            std::string::npos)
+      << quickscorer.status().ToString();
+  forest.trees.pop_back();
+  EXPECT_FALSE(QuickScorerDifferential(forest).HasErrors());
 }
 
 TEST(JitTest, WideFeatureOffsetsNeedDisp32) {
@@ -454,6 +678,14 @@ TEST(BatchTest, RandomizedBatteryBitIdenticalAcrossEvaluators) {
     CheckBatchAgainstPerRow(interpreted, rows, max_rows, num_features,
                             "interpreted");
     CheckBatchAgainstPerRow(flat, rows, max_rows, num_features, "flat");
+    Result<std::unique_ptr<QuickScorerEvaluator>> quickscorer =
+        QuickScorerEvaluator::Build(forest);
+    ASSERT_TRUE(quickscorer.ok()) << quickscorer.status().ToString();
+    for (size_t i = 0; i < max_rows; ++i) {
+      const double* row = &rows[i * static_cast<size_t>(num_features)];
+      ASSERT_EQ((*quickscorer)->Predict(row), interpreted.Predict(row))
+          << "QuickScorer disagrees, trial " << trial << " row " << i;
+    }
     Result<std::unique_ptr<CompiledForest>> compiled =
         CompiledForest::Compile(forest);
     if (JitSupported()) {
@@ -505,6 +737,14 @@ TEST(BatchTest, TrainedForestsBatchBitIdentical) {
     }
     CheckBatchAgainstPerRow(FlatEvaluator(forest), rows, max_rows,
                             static_cast<int>(num_features), "flat");
+    Result<std::unique_ptr<QuickScorerEvaluator>> quickscorer =
+        QuickScorerEvaluator::Build(forest);
+    ASSERT_TRUE(quickscorer.ok()) << quickscorer.status().ToString();
+    for (size_t i = 0; i < max_rows; ++i) {
+      const double* row = &rows[i * num_features];
+      ASSERT_EQ((*quickscorer)->Predict(row), forest.Predict(row))
+          << "QuickScorer disagrees, trial " << trial << " row " << i;
+    }
     Result<std::unique_ptr<CompiledForest>> compiled =
         CompiledForest::Compile(forest);
     if (JitSupported()) {
