@@ -8,103 +8,49 @@
 namespace t3 {
 namespace {
 
-/// The scalar tree emitter's vocabulary (TreeEmitter in treejit/jit.cc).
-bool IsScalarOp(JitOp op) {
-  switch (op) {
-    case JitOp::kMovRaxImm64:
-    case JitOp::kMovqXmm0Rax:
-    case JitOp::kMovqXmm1Rax:
-    case JitOp::kLoadFeature8:
-    case JitOp::kLoadFeature32:
-    case JitOp::kUcomisdXmm1Xmm0:
-    case JitOp::kUcomisdXmm0Xmm1:
-      return true;
-    default:
-      return false;
-  }
-}
-
-/// The batch kernel emitter's vocabulary (BatchForestEmitter), excluding
-/// ret, which both emitters share.
-bool IsBatchOp(JitOp op) {
-  switch (op) {
-    case JitOp::kSubRspImm32:
-    case JitOp::kAddRspImm32:
-    case JitOp::kVzeroupper:
-    case JitOp::kVbroadcastsd:
-    case JitOp::kVcmppdRR:
-    case JitOp::kVcmppdRdiMem:
-    case JitOp::kVandpd:
-    case JitOp::kVandnpd:
-    case JitOp::kVorpd:
-    case JitOp::kVxorpd:
-    case JitOp::kVaddpdRsiMem:
-    case JitOp::kVmovupdLoadRsp:
-    case JitOp::kVmovupdStoreRsp:
-    case JitOp::kVmovupdStoreRsi:
-      return true;
-    default:
-      return false;
-  }
-}
-
 /// Index of the region holding `offset`: the last entry <= offset.
 size_t RegionOf(const std::vector<size_t>& entries, size_t offset) {
   const auto it = std::upper_bound(entries.begin(), entries.end(), offset);
   return static_cast<size_t>(it - entries.begin()) - 1;
 }
 
-/// The entry-and-decode prologue of Audit and AuditBatch (`batch` picks the
-/// wording): the entries are ascending offsets inside the `limit`
-/// instruction bytes with the first at 0, [0, limit) decodes against the
-/// whitelist, and every entry lands on an instruction boundary (decoding
-/// starts at 0, so an interior entry could still fall mid-instruction if
-/// the emitter miscounted). An artifact with no entries and no instruction
-/// bytes — a zero-tree forest — passes. Returns false once `report` holds
-/// an Error; the caller has nothing more to check then.
-bool DecodeRegions(const uint8_t* code, size_t limit,
-                   const std::vector<size_t>& entries, bool batch,
-                   DecodedCode* decoded, AnalysisReport* report) {
-  const char* unit = batch ? "kernel" : "tree";
+/// The entry-and-decode prologue of Audit: the entries are ascending
+/// offsets inside the `size`-byte buffer with the first at 0, the buffer
+/// decodes against the whitelist, and every entry lands on an instruction
+/// boundary (decoding starts at 0, so an interior entry could still fall
+/// mid-instruction if the emitter miscounted). An artifact with no entries
+/// and no bytes — a zero-tree forest — passes. Returns false once `report`
+/// holds an Error; the caller has nothing more to check then.
+bool DecodeRegions(const uint8_t* code, size_t size,
+                   const std::vector<size_t>& entries, DecodedCode* decoded,
+                   AnalysisReport* report) {
   for (size_t i = 0; i < entries.size(); ++i) {
     const bool ascending = i == 0 || entries[i] > entries[i - 1];
-    if (entries[i] >= limit || !ascending) {
+    if (entries[i] >= size || !ascending) {
       report->Add(Severity::kError, "bad-entry", static_cast<int>(i),
                   static_cast<int>(entries[i]),
-                  batch ? StrFormat("kernel entry offset %zu not an "
-                                    "ascending offset inside the %zu "
-                                    "instruction bytes",
-                                    entries[i], limit)
-                        : StrFormat("entry offset %zu not an ascending "
-                                    "offset inside the %zu-byte buffer",
-                                    entries[i], limit));
+                  StrFormat("entry offset %zu not an ascending offset "
+                            "inside the %zu-byte buffer",
+                            entries[i], size));
       return false;
     }
   }
-  if (entries.empty() ? limit != 0 : entries[0] != 0) {
+  if (entries.empty() ? size != 0 : entries[0] != 0) {
     report->Add(Severity::kError, "bad-entry", -1, -1,
-                StrFormat("first %s entry must be at offset 0", unit));
+                "first tree entry must be at offset 0");
     return false;
   }
 
-  *decoded = DecodeLinear(code, limit);
+  *decoded = DecodeLinear(code, size);
   if (!decoded->ok) {
     const size_t at = decoded->error_offset;
-    // Fewer bytes left than the vocabulary's longest instruction (scalar
-    // mov rax, imm64: 10; batch vcmppd [rdi + disp32], imm8: 9) reads as a
-    // cut-off instruction.
-    const size_t longest = batch ? 9 : 10;
+    // Fewer bytes left than the longest instruction (mov rax, imm64: 10)
+    // reads as a cut-off instruction.
     report->Add(Severity::kError,
-                limit - at < longest ? "truncated-instruction"
-                                     : "unknown-opcode",
-                batch ? -1 : static_cast<int>(RegionOf(entries, at)),
-                static_cast<int>(at),
-                batch ? StrFormat("byte 0x%02X at offset %zu is not in the "
-                                  "emitter whitelist",
-                                  code[at], at)
-                      : StrFormat("byte 0x%02X is not in the emitter "
-                                  "whitelist",
-                                  code[at]));
+                size - at < 10 ? "truncated-instruction" : "unknown-opcode",
+                static_cast<int>(RegionOf(entries, at)), static_cast<int>(at),
+                StrFormat("byte 0x%02X is not in the emitter whitelist",
+                          code[at]));
     return false;  // Byte stream is desynchronized; nothing more to say.
   }
   bool on_boundaries = true;
@@ -112,7 +58,7 @@ bool DecodeRegions(const uint8_t* code, size_t limit,
     if (decoded->instructions.count(entries[i]) == 0) {
       report->Add(Severity::kError, "bad-entry", static_cast<int>(i),
                   static_cast<int>(entries[i]),
-                  StrFormat("%s entry is not an instruction boundary", unit));
+                  "tree entry is not an instruction boundary");
       on_boundaries = false;
     }
   }
@@ -128,8 +74,7 @@ AnalysisReport JitCodeAuditor::Audit(const uint8_t* code, size_t size,
   // Pass 1: entries and the linear decode (shared decoder). Instruction
   // boundaries double as the branch target whitelist.
   DecodedCode decoded;
-  if (!DecodeRegions(code, size, entries, /*batch=*/false, &decoded,
-                     &report)) {
+  if (!DecodeRegions(code, size, entries, &decoded, &report)) {
     return report;
   }
   const std::map<size_t, JitInstruction>& instructions = decoded.instructions;
@@ -142,14 +87,6 @@ AnalysisReport JitCodeAuditor::Audit(const uint8_t* code, size_t size,
     const size_t region = RegionOf(entries, at);
     const int tree = static_cast<int>(region);
     const int node = static_cast<int>(at);
-    if (IsBatchOp(instruction.op)) {
-      report.Add(Severity::kError, "bad-scalar-layout", tree, node,
-                 StrFormat("batch/vector instruction at byte offset %zu in "
-                           "scalar tree code, whose only memory accesses "
-                           "are %u-byte feature loads off %s",
-                           at, kScalarFeatureLoadBytes,
-                           kScalarFeatureBaseRegister));
-    }
     if (instruction.op == JitOp::kLoadFeature8 ||
         instruction.op == JitOp::kLoadFeature32) {
       const uint32_t disp = instruction.disp;
@@ -213,177 +150,6 @@ AnalysisReport JitCodeAuditor::Audit(const uint8_t* code, size_t size,
                static_cast<int>(RegionOf(entries, at)), static_cast<int>(at),
                is_ret ? "ret instruction unreachable from its tree entry"
                       : "instruction unreachable from its tree entry");
-  }
-  return report;
-}
-
-AnalysisReport JitCodeAuditor::AuditBatch(const uint8_t* code, size_t size,
-                                          const std::vector<size_t>& entries,
-                                          size_t pool_begin,
-                                          int num_features) const {
-  AnalysisReport report;
-  if (pool_begin > size) {
-    report.Add(Severity::kError, "bad-pool-ref", -1, -1,
-               StrFormat("constant pool begins at byte offset %zu, past the "
-                         "%zu-byte buffer",
-                         pool_begin, size));
-    return report;
-  }
-  // Only [0, pool_begin) is instructions; the constant pool is data.
-  DecodedCode decoded;
-  if (!DecodeRegions(code, pool_begin, entries, /*batch=*/true, &decoded,
-                     &report)) {
-    return report;
-  }
-
-  const uint64_t block_bytes =
-      static_cast<uint64_t>(kBatchFeatureStrideBytes) *
-      static_cast<uint64_t>(std::max(num_features, 0));
-  for (size_t region = 0; region < entries.size(); ++region) {
-    const size_t begin = entries[region];
-    const size_t end =
-        region + 1 < entries.size() ? entries[region + 1] : pool_begin;
-    const int tree = static_cast<int>(region);
-    std::vector<const JitInstruction*> seq;
-    for (auto it = decoded.instructions.lower_bound(begin);
-         it != decoded.instructions.end() && it->first < end; ++it) {
-      seq.push_back(&it->second);
-    }
-    const size_t n = seq.size();
-    // Frame discipline: an optional leading `sub rsp, S` balanced by
-    // exactly one `add rsp, S` right before the `vzeroupper; ret` tail.
-    // With branches forbidden below, a well-formed tail also proves every
-    // instruction is reachable and execution cannot leave the region.
-    const bool has_frame = n > 0 && seq[0]->op == JitOp::kSubRspImm32;
-    const uint32_t frame = has_frame ? seq[0]->disp : 0;
-    if (has_frame && (frame == 0 || frame % kBatchLaneGroupBytes != 0)) {
-      report.Add(Severity::kError, "bad-frame", tree,
-                 static_cast<int>(seq[0]->offset),
-                 StrFormat("sub rsp, %u at byte offset %zu is not a "
-                           "positive multiple of %u",
-                           frame, seq[0]->offset, kBatchLaneGroupBytes));
-    }
-    const size_t tail = has_frame ? 3 : 2;
-    if (n < tail + 1 || seq[n - 1]->op != JitOp::kRet ||
-        seq[n - 2]->op != JitOp::kVzeroupper ||
-        (has_frame && seq[n - 3]->op != JitOp::kAddRspImm32)) {
-      report.Add(Severity::kError, "bad-batch-layout", tree,
-                 static_cast<int>(n == 0 ? begin : seq[n - 1]->offset),
-                 has_frame
-                     ? "kernel region does not end with add rsp; "
-                       "vzeroupper; ret"
-                     : "kernel region does not end with vzeroupper; ret");
-      continue;
-    }
-    if (has_frame && seq[n - 3]->disp != frame) {
-      report.Add(Severity::kError, "bad-frame", tree,
-                 static_cast<int>(seq[n - 3]->offset),
-                 StrFormat("add rsp, %u at byte offset %zu does not match "
-                           "sub rsp, %u",
-                           seq[n - 3]->disp, seq[n - 3]->offset, frame));
-    }
-    for (size_t i = 0; i < n; ++i) {
-      const JitInstruction& ins = *seq[i];
-      const size_t at = ins.offset;
-      const int node = static_cast<int>(at);
-      if (ins.op == JitOp::kJa || ins.op == JitOp::kJb) {
-        report.Add(Severity::kError, "branch-in-batch-kernel", tree, node,
-                   StrFormat("branch at byte offset %zu in a straight-line "
-                             "masked kernel",
-                             at));
-        continue;
-      }
-      if (IsScalarOp(ins.op)) {
-        report.Add(Severity::kError, "bad-batch-layout", tree, node,
-                   StrFormat("scalar tree instruction at byte offset %zu "
-                             "inside a batch kernel",
-                             at));
-        continue;
-      }
-      switch (ins.op) {
-        case JitOp::kRet:
-          if (i != n - 1) {
-            report.Add(Severity::kError, "bad-batch-layout", tree, node,
-                       StrFormat("early ret at byte offset %zu strands the "
-                                 "rest of the kernel",
-                                 at));
-          }
-          break;
-        case JitOp::kVzeroupper:
-          if (i != n - 2) {
-            report.Add(Severity::kError, "bad-batch-layout", tree, node,
-                       StrFormat("vzeroupper at byte offset %zu, not "
-                                 "immediately before ret",
-                                 at));
-          }
-          break;
-        case JitOp::kSubRspImm32:
-          if (i != 0) {
-            report.Add(Severity::kError, "bad-frame", tree, node,
-                       StrFormat("sub rsp at byte offset %zu, not at the "
-                                 "kernel entry",
-                                 at));
-          }
-          break;
-        case JitOp::kAddRspImm32:
-          if (!has_frame || i != n - 3) {
-            report.Add(Severity::kError, "bad-frame", tree, node,
-                       StrFormat("add rsp at byte offset %zu outside the "
-                                 "frame epilogue",
-                                 at));
-          }
-          break;
-        case JitOp::kVcmppdRdiMem:
-          if (ins.disp % kBatchLaneGroupBytes != 0 ||
-              static_cast<uint64_t>(ins.disp) + kBatchLaneGroupBytes >
-                  block_bytes) {
-            report.Add(
-                Severity::kError, "oob-feature-load", tree, node,
-                StrFormat("vcmppd lane load [%s + %u] at byte offset %zu "
-                          "reads outside the %d-feature block (%u bytes "
-                          "per feature column)",
-                          kBatchBlockBaseRegister, ins.disp, at,
-                          num_features, kBatchFeatureStrideBytes));
-          }
-          break;
-        case JitOp::kVmovupdLoadRsp:
-        case JitOp::kVmovupdStoreRsp:
-          if (!has_frame || ins.disp % kBatchLaneGroupBytes != 0 ||
-              static_cast<uint64_t>(ins.disp) + kBatchLaneGroupBytes >
-                  frame) {
-            report.Add(Severity::kError, "bad-spill", tree, node,
-                       StrFormat("mask spill [rsp + %u] at byte offset %zu "
-                                 "outside the %u-byte frame",
-                                 ins.disp, at, frame));
-          }
-          break;
-        case JitOp::kVaddpdRsiMem:
-        case JitOp::kVmovupdStoreRsi:
-          if (ins.disp % kBatchLaneGroupBytes != 0 ||
-              ins.disp + kBatchLaneGroupBytes > kBatchAccumulatorBytes) {
-            report.Add(
-                Severity::kError, "oob-acc-access", tree, node,
-                StrFormat("accumulator access [%s + %u] at byte offset %zu "
-                          "outside the %u-byte output block",
-                          kBatchAccumulatorBaseRegister, ins.disp, at,
-                          kBatchAccumulatorBytes));
-          }
-          break;
-        case JitOp::kVbroadcastsd:
-          if (ins.target % 8 != 0 || ins.target < pool_begin ||
-              ins.target + 8 > size) {
-            report.Add(
-                Severity::kError, "bad-pool-ref", tree, node,
-                StrFormat("vbroadcastsd at byte offset %zu reads buffer "
-                          "offset %zu, outside the aligned constant pool "
-                          "in [%zu, %zu)",
-                          at, ins.target, pool_begin, size));
-          }
-          break;
-        default:
-          break;  // Reg-reg vector ops touch no memory.
-      }
-    }
   }
   return report;
 }

@@ -33,10 +33,11 @@ std::string WitnessText(const FeatureBox& box) {
   return out.empty() ? "any row" : out;
 }
 
-}  // namespace
-
-/// Reports every mismatch; descent stops below a shape or polarity mismatch
-/// where the correspondence is no longer defined.
+/// Structural pass: simultaneous descent of IR tree `tree` and lifted tree
+/// `lifted` under the emitter's correspondence (IR left child = jump
+/// child, IR right child = fallthrough child). Reports every mismatch;
+/// descent stops below a shape or polarity mismatch where the
+/// correspondence is no longer defined.
 void CheckLiftedTreeStructure(const Tree& tree, const LiftedTree& lifted,
                               int tree_index, AnalysisReport* report) {
   struct Frame {
@@ -106,8 +107,6 @@ void CheckLiftedTreeStructure(const Tree& tree, const LiftedTree& lifted,
   }
 }
 
-namespace {
-
 /// Refines `box` by a lifted node's predicate and pushes the feasible
 /// successor boxes onto `stack`. A NaN threshold (possible only in corrupt
 /// code) makes ucomisd unconditionally unordered, so every input — NaN or
@@ -141,11 +140,10 @@ void PushLiftedChildren(const LiftedNode& node, const FeatureBox& box,
   }
 }
 
-}  // namespace
-
-/// Reports the first offending cell with a concrete witness row, then stops
-/// (one flipped threshold byte shifts many cells; one witness per tree is
-/// the useful signal).
+/// Semantic pass: every lifted leaf reachable under an IR leaf cell returns
+/// that leaf's exact bits. Reports the first offending cell with a concrete
+/// witness row, then stops (one flipped threshold byte shifts many cells;
+/// one witness per tree is the useful signal).
 void CheckLiftedTreeSemantics(const Tree& tree, const LiftedTree& lifted,
                               int num_features, int tree_index,
                               AnalysisReport* report) {
@@ -179,6 +177,8 @@ void CheckLiftedTreeSemantics(const Tree& tree, const LiftedTree& lifted,
         }
       });
 }
+
+}  // namespace
 
 AnalysisReport TranslationValidator::Validate(
     const Forest& forest, const uint8_t* code, size_t size,

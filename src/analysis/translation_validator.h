@@ -11,26 +11,6 @@
 
 namespace t3 {
 
-/// Structural pass shared by the scalar and batch validators: simultaneous
-/// descent of IR tree `tree` and lifted tree `lifted` under the emitters'
-/// common correspondence (IR left child = jump/mask-true child, IR right
-/// child = fallthrough/mask-false child). Bit-equal thresholds and leaf
-/// values, matching split feature and NaN routing. Checks:
-/// `shape-mismatch`, `feature-mismatch`, `threshold-mismatch`,
-/// `leaf-value-mismatch`, `nan-routing-mismatch`,
-/// `branch-polarity-mismatch` (all Error).
-void CheckLiftedTreeStructure(const Tree& tree, const LiftedTree& lifted,
-                              int tree_index, AnalysisReport* report);
-
-/// Semantic pass shared by the scalar and batch validators: an
-/// interval-analysis proof (`semantic-mismatch`, Error) that `lifted` and
-/// `tree` agree as functions — for every leaf cell of the IR tree, every
-/// lifted leaf reachable under that cell returns the IR leaf's exact bits.
-/// Requires every lifted split feature in [0, num_features).
-void CheckLiftedTreeSemantics(const Tree& tree, const LiftedTree& lifted,
-                              int num_features, int tree_index,
-                              AnalysisReport* report);
-
 /// Translation validator: a static proof that the machine code TreeJit
 /// emitted computes exactly the forest it was emitted from. This closes the
 /// gap the JitCodeAuditor leaves open — the auditor proves the bytes are

@@ -3,30 +3,11 @@
 
 namespace t3 {
 
-/// Runtime CPU capability probe backing the treejit batch-kernel dispatch
-/// (treejit/jit.h). Compile-time support (x86-64 build, T3_DISABLE_AVX2 off)
-/// decides whether kernels are *emitted*; this probe decides whether they
-/// are *dispatched* on the running machine.
-struct CpuFeatures {
-  bool avx = false;   ///< AVX ISA present and OS ymm state enabled (xgetbv).
-  bool avx2 = false;  ///< AVX2 ISA present (reported only when avx holds).
-  bool force_scalar = false;  ///< T3_FORCE_SCALAR=1 was set in the env.
-};
-
-/// Probes cpuid/xgetbv and the T3_FORCE_SCALAR environment variable on
-/// every call (not cached). Tests use this to observe env changes; the
-/// production dispatch goes through GetCpuFeatures().
-CpuFeatures DetectCpuFeatures();
-
-/// The cached process-wide probe: one DetectCpuFeatures() on first use,
-/// then the same answer forever (the env override is read once, so set it
-/// before the first prediction).
-const CpuFeatures& GetCpuFeatures();
-
-/// True when batched AVX tree kernels may be dispatched: AVX + AVX2
-/// present, OS ymm state enabled, and not overridden by T3_FORCE_SCALAR=1.
-/// Non-x86-64 hosts always return false.
-bool BatchKernelsEnabled();
+/// Whether batched SIMD tree kernels serve PredictBatch. No build has them:
+/// every evaluator batches through the per-row loop, so this is always
+/// false. Its only caller is perfbench's provenance line
+/// ("batch_kernels").
+inline bool BatchKernelsEnabled() { return false; }
 
 }  // namespace t3
 

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "analysis/batch_equivalence_validator.h"
 #include "analysis/forest_diff.h"
 #include "common/check.h"
 #include "common/string_util.h"

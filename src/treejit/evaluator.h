@@ -25,10 +25,10 @@ class ForestEvaluator {
   /// Predicts one row of Forest::num_features doubles.
   virtual double Predict(const double* row) const = 0;
 
-  /// Predicts `num_rows` rows stored row-major with stride `num_features`.
-  /// The default implementation loops over Predict.
-  virtual void PredictBatch(const double* rows, size_t num_rows,
-                            size_t num_features, double* out) const;
+  /// Predicts `num_rows` rows stored row-major with stride `num_features`:
+  /// one Predict per row, so batches are bit-identical to single rows.
+  void PredictBatch(const double* rows, size_t num_rows, size_t num_features,
+                    double* out) const;
 };
 
 /// Node-pointer interpreter: walks Tree::nodes child indices directly.

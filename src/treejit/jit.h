@@ -25,61 +25,23 @@ struct JitArtifact {
 /// structurally invalid forest and on non-x86-64 builds.
 Result<JitArtifact> EmitForestCode(const Forest& forest);
 
-/// Machine code of the batched AVX tree kernels, in its own buffer separate
-/// from the scalar artifact. One function per tree,
-///
-///   void f(const double* block /* rdi */, double* acc /* rsi */)
-///
-/// evaluating 8 rows per call over a feature-major 8-lane block
-/// (`block[64*f + 8*lane]` bytes, i.e. feature f of lane `lane`) as two
-/// 4-lane ymm halves, accumulating `acc[lane] += leaf_value(lane)` — the
-/// same per-tree addend, in the same order, as the scalar path. The code is
-/// straight-line (branch-free) masked evaluation; see EmitForestBatchCode
-/// in jit.cc for the exact instruction grammar, which ProveForestCode's
-/// batch passes (JitCodeAuditor::AuditBatch, BatchEquivalenceValidator)
-/// re-check.
-///
-/// `pool_begin` is the first byte past the last kernel's ret; the
-/// vbroadcastsd constant pool starts at the next 8-byte boundary and runs
-/// to code.size(). Only [0, pool_begin) is instructions.
-struct BatchJitArtifact {
-  std::vector<uint8_t> code;
-  std::vector<size_t> entries;  ///< One per tree, ascending, [0] == 0.
-  size_t pool_begin = 0;
-  int num_features = 0;
-};
-
-/// Emits (but does not map or run) the AVX batch kernels for `forest`.
-/// Fails on a structurally invalid forest; Unavailable when
-/// BatchJitSupported() is false.
-Result<BatchJitArtifact> EmitForestBatchCode(const Forest& forest);
-
-/// True when this build emits AVX batch kernels (x86-64 with mmap, built
-/// without -DT3_DISABLE_AVX2=ON). Whether emitted kernels are *dispatched*
-/// additionally depends on the runtime probe (BatchKernelsEnabled in
-/// common/cpu_features.h).
-bool BatchJitSupported();
-
 /// ProveForestCode's reports, one per pass (src/analysis documents what
-/// each proves). The batch reports are empty without a batch artifact.
+/// each proves).
 struct ForestCodeProof {
-  AnalysisReport audit;              ///< JitCodeAuditor::Audit.
-  AnalysisReport translation;        ///< TranslationValidator.
-  AnalysisReport batch_audit;        ///< JitCodeAuditor::AuditBatch.
-  AnalysisReport batch_equivalence;  ///< BatchEquivalenceValidator.
+  AnalysisReport audit;        ///< JitCodeAuditor::Audit.
+  AnalysisReport translation;  ///< TranslationValidator.
 
   /// OK, or InternalError naming the first pass with an Error finding.
   Status ToStatus() const;
 };
 
-/// The one wiring of the JIT proof stack: runs all four passes over the
-/// exact bytes EmitForestCode / EmitForestBatchCode produced for `forest`
-/// (`batch` may be null: builds without batch kernels). Every pass runs,
-/// whatever the others find. CompiledForest::Compile (debug builds) and
-/// t3_lint gate on this function; any Error is an emitter bug, never a
-/// property of the already validated forest.
-ForestCodeProof ProveForestCode(const Forest& forest, const JitArtifact& scalar,
-                                const BatchJitArtifact* batch);
+/// The one wiring of the JIT proof stack: runs both passes over the exact
+/// bytes EmitForestCode produced for `forest`. Every pass runs, whatever
+/// the other finds. CompiledForest::Compile (debug builds) and t3_lint gate
+/// on this function; any Error is an emitter bug, never a property of the
+/// already validated forest.
+ForestCodeProof ProveForestCode(const Forest& forest,
+                                const JitArtifact& artifact);
 
 /// A forest compiled to native x86-64 machine code, the paper's core
 /// latency optimization (Tables 1-2, Figure 5): each inner node becomes a
@@ -94,12 +56,13 @@ ForestCodeProof ProveForestCode(const Forest& forest, const JitArtifact& scalar,
 /// Code lives in mmap'd memory managed W^X: pages are writable during
 /// emission, then flipped to read+execute — never both.
 ///
-/// Compile also builds the AVX batch kernels whenever BatchJitSupported().
+/// PredictBatch is the base class's per-row loop over Predict.
+///
 /// Debug builds prove the emitted bytes with ProveForestCode before mapping
-/// them and run BatchDifferentialCheck over the mapped kernels; a finding
-/// fails Compile with InternalError. Release builds skip the proof (roughly
-/// one interval walk per leaf: well under a model load, but not free on the
-/// model-reload path); the tests run it on the same bytes.
+/// them; a finding fails Compile with InternalError. Release builds skip
+/// the proof (roughly one interval walk per leaf: well under a model load,
+/// but not free on the model-reload path); the tests run it on the same
+/// bytes.
 ///
 /// A forest with no trees compiles to no code: a constant model that
 /// predicts base_score.
@@ -117,23 +80,12 @@ class CompiledForest : public ForestEvaluator {
   CompiledForest& operator=(const CompiledForest&) = delete;
 
   double Predict(const double* row) const override;
-  void PredictBatch(const double* rows, size_t num_rows, size_t num_features,
-                    double* out) const override;
 
   /// Bytes of emitted machine code (before page rounding).
   size_t code_size() const { return code_size_; }
 
-  /// True when AVX batch kernels were compiled in. They are dispatched only
-  /// when the runtime probe (BatchKernelsEnabled) also passes; otherwise
-  /// PredictBatch falls back to the bit-identical per-row path.
-  bool has_batch_kernels() const { return !batch_fns_.empty(); }
-
-  /// Bytes of emitted batch-kernel code + constant pool (0 when none).
-  size_t batch_code_size() const { return batch_code_size_; }
-
  private:
   using TreeFn = double (*)(const double*);
-  using BatchFn = void (*)(const double*, double*);
 
   CompiledForest() = default;
 
@@ -142,11 +94,6 @@ class CompiledForest : public ForestEvaluator {
   void* code_ = nullptr;       // mmap'd region, PROT_READ | PROT_EXEC.
   size_t mapped_size_ = 0;
   size_t code_size_ = 0;
-  std::vector<BatchFn> batch_fns_;
-  void* batch_code_ = nullptr;  // Second W^X region for the batch kernels.
-  size_t batch_mapped_size_ = 0;
-  size_t batch_code_size_ = 0;
-  int num_features_ = 0;
 };
 
 /// True when this build can JIT-compile forests (x86-64 with mmap).

@@ -1,16 +1,20 @@
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "analysis/forest_diff.h"
 #include "analysis/forest_verifier.h"
 #include "analysis/jit_auditor.h"
 #include "common/random.h"
 #include "gbt/forest.h"
 #include "gbt/trainer.h"
 #include "treejit/jit.h"
+#include "random_forest.h"
 
 namespace t3 {
 namespace {
@@ -558,6 +562,39 @@ TEST_F(JitCodeAuditorCorruptionTest, TruncatedBufferIsRejected) {
   EXPECT_TRUE(report.HasErrors());
 }
 
+// The decoder knows only the scalar emitter's vocabulary: a VEX-encoded
+// vector op spliced over a same-length scalar instruction is undecodable, so
+// both passes of ProveForestCode reject it.
+TEST(JitCodeAuditorTest, SplicedVexOpIsUndecodable) {
+  if (!JitSupported()) GTEST_SKIP() << "no x86-64 emitter on this host";
+  const Forest forest =
+      OneTreeForest({Inner(2, 0.25, 1, 2), Leaf(1.0), Leaf(2.0)});
+  Result<JitArtifact> artifact = EmitForestCode(forest);
+  ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
+  ASSERT_TRUE(ProveForestCode(forest, *artifact).ToStatus().ok());
+  size_t ucomisd = artifact->code.size();
+  for (const auto& [at, instruction] :
+       DecodeLinear(artifact->code.data(), artifact->code.size())
+           .instructions) {
+    if (instruction.op == JitOp::kUcomisdXmm1Xmm0) ucomisd = at;
+  }
+  ASSERT_LT(ucomisd, artifact->code.size());
+  // vandpd / vandnpd / vorpd / vxorpd ymm0, ymm0, ymm0: 2-byte VEX, 4 bytes
+  // like the ucomisd they replace.
+  for (const uint8_t opcode : {0x54, 0x55, 0x56, 0x57}) {
+    JitArtifact spliced = *artifact;
+    const uint8_t vex[] = {0xC5, 0xFD, opcode, 0xC0};
+    std::copy(std::begin(vex), std::end(vex),
+              spliced.code.begin() + static_cast<ptrdiff_t>(ucomisd));
+    const ForestCodeProof proof = ProveForestCode(forest, spliced);
+    EXPECT_TRUE(HasError(proof.audit, "unknown-opcode"))
+        << proof.audit.ToString();
+    EXPECT_TRUE(HasError(proof.translation, "undecodable-code"))
+        << proof.translation.ToString();
+    EXPECT_FALSE(proof.ToStatus().ok());
+  }
+}
+
 // ProveForestCode is the one wiring of the auditor (debug Compile and
 // t3_lint gate on it): it must stay clean for healthy forests, on the same
 // bytes Compile maps, and the compiled code must match the interpreter.
@@ -567,8 +604,7 @@ TEST(JitAuditWiringTest, ProvenCodeMatchesInterpreter) {
   const Forest forest = RandomValidForest(&rng);
   Result<JitArtifact> artifact = EmitForestCode(forest);
   ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
-  const ForestCodeProof proof =
-      ProveForestCode(forest, artifact.value(), /*batch=*/nullptr);
+  const ForestCodeProof proof = ProveForestCode(forest, artifact.value());
   EXPECT_TRUE(proof.ToStatus().ok()) << proof.ToStatus().ToString();
   Result<std::unique_ptr<CompiledForest>> compiled =
       CompiledForest::Compile(forest);
@@ -579,6 +615,41 @@ TEST(JitAuditWiringTest, ProvenCodeMatchesInterpreter) {
     for (double& v : row) v = rng.UniformDouble(-150, 150);
     ASSERT_EQ((*compiled)->Predict(row.data()), forest.Predict(row.data()));
   }
+}
+
+// ---------------------------------------------------------------------------
+// BatchDifferentialCheck: the proof of the evaluators that are not compiled
+// code. It exercises whatever batched entry point it is handed.
+
+TEST(BatchDifferentialCheckTest, AcceptsFaithfulPredictor) {
+  Rng rng(21);
+  const Forest forest = MakeRandomForest(&rng, 5, 4, 4);
+  ASSERT_TRUE(forest.Validate().ok());
+  const AnalysisReport report = BatchDifferentialCheck(
+      forest, [&forest](const double* rows, size_t num_rows,
+                        size_t num_features, double* out) {
+        for (size_t i = 0; i < num_rows; ++i) {
+          out[i] = forest.Predict(rows + i * num_features);
+        }
+      });
+  EXPECT_FALSE(report.HasErrors()) << report.ToString();
+}
+
+TEST(BatchDifferentialCheckTest, DetectsSkewedBaseScore) {
+  Rng rng(22);
+  const Forest forest = MakeRandomForest(&rng, 5, 4, 4);
+  ASSERT_TRUE(forest.Validate().ok());
+  Forest skewed = forest;
+  skewed.base_score += 0.5;
+  const AnalysisReport report = BatchDifferentialCheck(
+      forest, [&skewed](const double* rows, size_t num_rows,
+                        size_t num_features, double* out) {
+        for (size_t i = 0; i < num_rows; ++i) {
+          out[i] = skewed.Predict(rows + i * num_features);
+        }
+      });
+  ASSERT_TRUE(report.HasErrors());
+  EXPECT_EQ(report.diagnostics()[0].check, "batch-differential-mismatch");
 }
 
 }  // namespace

@@ -1,6 +1,5 @@
 #include <bit>
 #include <cmath>
-#include <cstdlib>
 #include <filesystem>
 #include <initializer_list>
 #include <limits>
@@ -10,9 +9,8 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/batch_equivalence_validator.h"
+#include "analysis/forest_diff.h"
 #include "analysis/x86_decoder.h"
-#include "common/cpu_features.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "gbt/forest.h"
@@ -497,17 +495,17 @@ TEST(JitTest, UnsupportedHostsReportUnavailable) {
   EXPECT_EQ(compiled.status().code(), StatusCode::kUnavailable);
 }
 
-// Byte offset of the first instruction in code[0, size) whose op is in
-// `ops`; `size` when there is none.
-size_t FirstInstructionOf(const std::vector<uint8_t>& code, size_t size,
+// Byte offset of the first instruction in `code` whose op is in `ops`;
+// code.size() when there is none.
+size_t FirstInstructionOf(const std::vector<uint8_t>& code,
                           std::initializer_list<JitOp> ops) {
-  const DecodedCode decoded = DecodeLinear(code.data(), size);
+  const DecodedCode decoded = DecodeLinear(code.data(), code.size());
   for (const auto& [at, instruction] : decoded.instructions) {
     for (const JitOp op : ops) {
       if (instruction.op == op) return at;
     }
   }
-  return size;
+  return code.size();
 }
 
 // A forest with no trees is a constant model: no code, nothing for the
@@ -520,10 +518,7 @@ TEST(ProveForestCodeTest, ZeroTreeForestIsAConstantModel) {
   ASSERT_TRUE(forest->trees.empty());
   Result<JitArtifact> scalar = EmitForestCode(*forest);
   ASSERT_TRUE(scalar.ok()) << scalar.status().ToString();
-  Result<BatchJitArtifact> batch = EmitForestBatchCode(*forest);
-  const Status proven =
-      ProveForestCode(*forest, *scalar, batch.ok() ? &batch.value() : nullptr)
-          .ToStatus();
+  const Status proven = ProveForestCode(*forest, *scalar).ToStatus();
   EXPECT_TRUE(proven.ok()) << proven.ToString();
 
   Result<std::unique_ptr<CompiledForest>> compiled =
@@ -547,40 +542,20 @@ TEST(ProveForestCodeTest, FlippedByteFailsTheRightPass) {
   const Forest forest = MakeRandomForest(&rng, 4, 3, 4);
   Result<JitArtifact> scalar = EmitForestCode(forest);
   ASSERT_TRUE(scalar.ok()) << scalar.status().ToString();
-  Result<BatchJitArtifact> batch = EmitForestBatchCode(forest);
-  const BatchJitArtifact* batch_code = batch.ok() ? &batch.value() : nullptr;
-  ASSERT_TRUE(ProveForestCode(forest, *scalar, batch_code).ToStatus().ok());
+  ASSERT_TRUE(ProveForestCode(forest, *scalar).ToStatus().ok());
 
   // ja (0F 87) <-> jb (0F 82): the code stays well formed, so the audit
   // passes, but the split now sends the other side of the threshold left.
   JitArtifact flipped_branch = *scalar;
   const size_t branch =
-      FirstInstructionOf(flipped_branch.code, flipped_branch.code.size(),
-                         {JitOp::kJa, JitOp::kJb});
+      FirstInstructionOf(flipped_branch.code, {JitOp::kJa, JitOp::kJb});
   ASSERT_LT(branch, flipped_branch.code.size());
   flipped_branch.code[branch + 1] ^= 0x87 ^ 0x82;
-  const ForestCodeProof bad_scalar =
-      ProveForestCode(forest, flipped_branch, batch_code);
+  const ForestCodeProof bad_scalar = ProveForestCode(forest, flipped_branch);
   EXPECT_FALSE(bad_scalar.audit.HasErrors()) << bad_scalar.audit.ToString();
   EXPECT_TRUE(bad_scalar.translation.HasErrors());
   EXPECT_FALSE(bad_scalar.ToStatus().ok());
 
-  if (!BatchJitSupported()) return;
-  // vcmppd predicate GT_OQ (0x1E) <-> NLE_UQ (0x16): NaN lanes take the
-  // other side of the split.
-  BatchJitArtifact flipped_predicate = *batch;
-  const size_t compare =
-      FirstInstructionOf(flipped_predicate.code, flipped_predicate.pool_begin,
-                         {JitOp::kVcmppdRdiMem});
-  ASSERT_LT(compare, flipped_predicate.pool_begin);
-  flipped_predicate.code[compare + 8] ^= 0x1E ^ 0x16;  // The imm8.
-  const ForestCodeProof bad_batch =
-      ProveForestCode(forest, *scalar, &flipped_predicate);
-  EXPECT_FALSE(bad_batch.translation.HasErrors());
-  EXPECT_FALSE(bad_batch.batch_audit.HasErrors())
-      << bad_batch.batch_audit.ToString();
-  EXPECT_TRUE(bad_batch.batch_equivalence.HasErrors());
-  EXPECT_FALSE(bad_batch.ToStatus().ok());
 }
 
 TEST(BatchTest, PredictBatchMatchesLoop) {
@@ -611,9 +586,9 @@ TEST(BatchTest, PredictBatchMatchesLoop) {
   }
 }
 
-// One row densely seeded with the batch kernels' hard inputs: NaN (masked
-// compares must still route by default_left), +/-inf, denormals, and -0.0
-// (which must compare equal to +0.0 thresholds).
+// One row densely seeded with the split predicate's hard inputs: NaN (must
+// route by default_left), +/-inf, denormals, and -0.0 (which must compare
+// equal to +0.0 thresholds).
 std::vector<double> MakeAdversarialRow(Rng* rng, int num_features) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   constexpr double kDenorm = std::numeric_limits<double>::denorm_min();
@@ -630,8 +605,9 @@ std::vector<double> MakeAdversarialRow(Rng* rng, int num_features) {
   return row;
 }
 
-// Checks PredictBatch against per-row Predict on one evaluator, bitwise, across the battery's batch sizes (straddling the
-// 8-row kernel width on both sides plus a large batch with a ragged tail).
+// Checks PredictBatch against per-row Predict on one evaluator, bitwise,
+// across the battery's batch sizes (small odd and even batches plus a large
+// one).
 void CheckBatchAgainstPerRow(const ForestEvaluator& evaluator,
                              const std::vector<double>& rows, size_t max_rows,
                              int num_features, const char* label) {
@@ -699,8 +675,7 @@ TEST(BatchTest, RandomizedBatteryBitIdenticalAcrossEvaluators) {
 
 // Same battery over 20 trained forests: the trainer's monotone thresholds
 // and shrunken leaf values are a different distribution than the random
-// builder's grid, and trained trees are where the batch path runs in
-// production.
+// builder's grid, and trained trees are what the batched paths serve.
 TEST(BatchTest, TrainedForestsBatchBitIdentical) {
   Rng rng(31337);
   for (int trial = 0; trial < 20; ++trial) {
@@ -755,12 +730,9 @@ TEST(BatchTest, TrainedForestsBatchBitIdentical) {
   }
 }
 
-// The dispatched batch path (whatever the host offers — SIMD kernels or
-// the fallback) agrees bitwise with Forest::Predict, the scalar reference,
-// on every checked-in model fixture. Under T3_FORCE_SCALAR=1 (CI runs the
-// suite that way too) the dispatch takes the per-row path and the test
-// proves the override leaves results unchanged.
-TEST(BatchTest, FixtureModelsDispatchedPathMatchesForestPredict) {
+// The compiled forest's PredictBatch agrees bitwise with Forest::Predict,
+// the scalar reference, on every checked-in model fixture.
+TEST(BatchTest, FixtureModelsCompiledBatchMatchesForestPredict) {
   const char* fixtures[] = {
       "/data/model_ablation_per_pipeline.txt",
       "/data/model_ablation_per_query.txt",
@@ -775,12 +747,11 @@ TEST(BatchTest, FixtureModelsDispatchedPathMatchesForestPredict) {
     ASSERT_TRUE(loaded.ok()) << path << ": " << loaded.status().ToString();
     const Forest& forest = loaded.value();
 
-    Result<std::unique_ptr<CompiledForest>> dispatched =
+    Result<std::unique_ptr<CompiledForest>> compiled =
         CompiledForest::Compile(forest);
-    ASSERT_TRUE(dispatched.ok()) << dispatched.status().ToString();
-    EXPECT_EQ((*dispatched)->has_batch_kernels(), BatchJitSupported());
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
 
-    const size_t num_rows = 33;  // Kernel blocks plus a scalar tail.
+    const size_t num_rows = 33;
     const size_t dim = static_cast<size_t>(forest.num_features);
     std::vector<double> rows;
     for (size_t i = 0; i < num_rows; ++i) {
@@ -788,29 +759,13 @@ TEST(BatchTest, FixtureModelsDispatchedPathMatchesForestPredict) {
           MakeRandomRow(&rng, forest.num_features);
       rows.insert(rows.end(), row.begin(), row.end());
     }
-    std::vector<double> out_dispatched(num_rows);
-    (*dispatched)->PredictBatch(rows.data(), num_rows, dim,
-                                out_dispatched.data());
+    std::vector<double> out(num_rows);
+    (*compiled)->PredictBatch(rows.data(), num_rows, dim, out.data());
     for (size_t i = 0; i < num_rows; ++i) {
-      ASSERT_EQ(out_dispatched[i], forest.Predict(&rows[i * dim]))
+      ASSERT_EQ(out[i], forest.Predict(&rows[i * dim]))
           << fixture << " row " << i;
     }
   }
-}
-
-TEST(CpuFeaturesTest, DetectHonorsForceScalarEnv) {
-  // DetectCpuFeatures re-reads the environment on every call (the cached
-  // GetCpuFeatures does not, by contract).
-  ASSERT_EQ(setenv("T3_FORCE_SCALAR", "1", /*overwrite=*/1), 0);
-  EXPECT_TRUE(DetectCpuFeatures().force_scalar);
-  ASSERT_EQ(setenv("T3_FORCE_SCALAR", "0", /*overwrite=*/1), 0);
-  EXPECT_FALSE(DetectCpuFeatures().force_scalar);
-  ASSERT_EQ(unsetenv("T3_FORCE_SCALAR"), 0);
-  EXPECT_FALSE(DetectCpuFeatures().force_scalar);
-  // The cached probe and the dispatch gate are consistent with each other.
-  const CpuFeatures& cached = GetCpuFeatures();
-  EXPECT_EQ(BatchKernelsEnabled(),
-            cached.avx && cached.avx2 && !cached.force_scalar);
 }
 
 TEST(BatchTest, PredictSumParallelMatchesSerialSum) {

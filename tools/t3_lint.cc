@@ -18,19 +18,18 @@
 //                               computes the forest (bit-equal constants,
 //                               identical NaN routing, equal outputs over
 //                               every threshold-induced input cell),
-//   5. batch-equivalence      — JitCodeAuditor::AuditBatch +
-//                               BatchEquivalenceValidator over the AVX
-//                               batch kernels: lane loads / spills / pool
-//                               reads in bounds, straight-line control
-//                               flow, and a per-lane lift-and-prove that
-//                               the masked kernels compute the same forest.
-//   Passes 3-5 are ProveForestCode's four reports (treejit/jit.h), the same
-//   proof a debug CompiledForest::Compile gates on. Passes 3-4 need the
-//   x86-64 emitter (pass 5 additionally a build with batch kernels
-//   enabled) and run only when the forest IR is error-free
-//   (the emitter's preconditions are exactly the verifier's Error checks);
-//   they are reported as "skipped" otherwise. Models over
-//   the 48-feature registry space additionally get an informational
+//   5. serving-evaluator      — BatchDifferentialCheck over the evaluator
+//                               that serves the model (QuickScorer): one
+//                               witness row per leaf cell of every tree,
+//                               bit-compared against Forest::Predict.
+//   Passes 3-4 are ProveForestCode's two reports (treejit/jit.h), the same
+//   proof a debug CompiledForest::Compile gates on; they need the x86-64
+//   emitter. Passes 3-5 run only when the forest IR is error-free (the
+//   evaluators' preconditions are exactly the verifier's Error checks);
+//   they are reported as "skipped" otherwise. Pass 5 is also "skipped",
+//   with QuickScorerEvaluator::Build's message as a note, for a model with
+//   a tree over 64 leaves: the flat evaluator serves that model. Models
+//   over the 48-feature registry space additionally get an informational
 //   dead-feature report (registry features the forest never splits on).
 //
 //  plan ("t3plan v1"):
@@ -65,11 +64,13 @@
 
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "analysis/corpus_auditor.h"
 #include "analysis/feature_auditor.h"
+#include "analysis/forest_diff.h"
 #include "analysis/forest_verifier.h"
 #include "analysis/plan_verifier.h"
 #include "cli_util.h"
@@ -78,6 +79,7 @@
 #include "gbt/forest.h"
 #include "harness/corpus.h"
 #include "plan/plan_file.h"
+#include "treejit/evaluator.h"
 #include "treejit/jit.h"
 
 namespace {
@@ -115,6 +117,7 @@ struct FileResult {
   size_t nodes = 0;
   int features = 0;
   std::vector<std::string> dead_features;  ///< Informational, no severity.
+  std::vector<std::string> notes;          ///< Why a pass was skipped.
   // Plan files / corpora.
   size_t plan_nodes = 0;
   size_t records = 0;
@@ -134,12 +137,12 @@ void LintModel(const std::string& content, FileResult* result) {
                     {"forest-verifier"},
                     {"jit-audit"},
                     {"translation-validation"},
-                    {"batch-equivalence"}};
+                    {"serving-evaluator"}};
   PassResult& parse = result->passes[0];
   PassResult& verify = result->passes[1];
   PassResult& audit = result->passes[2];
   PassResult& translate = result->passes[3];
-  PassResult& batch = result->passes[4];
+  PassResult& serving = result->passes[4];
 
   t3::Result<t3::Forest> forest = t3::Forest::ParseTextUnvalidated(content);
   if (!forest.ok()) {
@@ -158,42 +161,43 @@ void LintModel(const std::string& content, FileResult* result) {
   verify.state =
       result->report.HasErrors() ? PassState::kFailed : PassState::kOk;
 
-  // Only analyze code emitted from a verified forest: the emitter's own
+  // Only analyze evaluators built from a verified forest: their own
   // preconditions are exactly the verifier's Error checks.
-  if (verify.state != PassState::kOk || !t3::JitSupported()) return;
-
-  t3::Result<t3::JitArtifact> artifact = t3::EmitForestCode(*forest);
-  if (!artifact.ok()) {
-    audit.state = PassState::kFailed;
-    result->report.Add(t3::Severity::kError, "jit-emit", -1, -1,
-                       artifact.status().message());
-    return;
-  }
-  t3::Result<t3::BatchJitArtifact> batch_artifact =
-      t3::EmitForestBatchCode(*forest);
-  const t3::ForestCodeProof proof = t3::ProveForestCode(
-      *forest, *artifact,
-      batch_artifact.ok() ? &batch_artifact.value() : nullptr);
+  if (verify.state != PassState::kOk) return;
   const auto record = [result](PassResult* pass,
                                const t3::AnalysisReport& report) {
     pass->state = report.HasErrors() ? PassState::kFailed : PassState::kOk;
     result->report.Merge(report);
   };
-  record(&audit, proof.audit);
-  record(&translate, proof.translation);
-  // The batch pass stays "skipped" on builds without the batch emitter
-  // (non-x86-64 or -DT3_DISABLE_AVX2=ON) — the same contract as passes 3-4
-  // off x86-64.
-  if (!t3::BatchJitSupported()) return;
-  if (!batch_artifact.ok()) {
-    batch.state = PassState::kFailed;
-    result->report.Add(t3::Severity::kError, "jit-emit", -1, -1,
-                       batch_artifact.status().message());
+
+  if (t3::JitSupported()) {
+    t3::Result<t3::JitArtifact> artifact = t3::EmitForestCode(*forest);
+    if (artifact.ok()) {
+      const t3::ForestCodeProof proof =
+          t3::ProveForestCode(*forest, *artifact);
+      record(&audit, proof.audit);
+      record(&translate, proof.translation);
+    } else {
+      audit.state = PassState::kFailed;
+      result->report.Add(t3::Severity::kError, "jit-emit", -1, -1,
+                         artifact.status().message());
+    }
+  }
+
+  t3::Result<std::unique_ptr<t3::QuickScorerEvaluator>> quickscorer =
+      t3::QuickScorerEvaluator::Build(*forest);
+  if (!quickscorer.ok()) {
+    result->notes.push_back("serving-evaluator skipped: " +
+                            quickscorer.status().message());
     return;
   }
-  t3::AnalysisReport batch_report = proof.batch_audit;
-  batch_report.Merge(proof.batch_equivalence);
-  record(&batch, batch_report);
+  const t3::QuickScorerEvaluator* qs = quickscorer->get();
+  record(&serving,
+         t3::BatchDifferentialCheck(
+             *forest, [qs](const double* rows, size_t num_rows,
+                           size_t num_features, double* out) {
+               qs->PredictBatch(rows, num_rows, num_features, out);
+             }));
 }
 
 void LintPlan(const std::string& content, FileResult* result) {
@@ -312,6 +316,9 @@ void PrintHuman(const FileResult& result) {
     std::printf("%s: note[dead-feature] %s is never split on\n",
                 result.path.c_str(), name.c_str());
   }
+  for (const std::string& note : result.notes) {
+    std::printf("%s: note: %s\n", result.path.c_str(), note.c_str());
+  }
   std::string passes;
   for (const PassResult& pass : result.passes) {
     if (!passes.empty()) passes += ' ';
@@ -356,6 +363,11 @@ void PrintJson(const std::vector<FileResult>& results, int exit_code) {
       for (size_t d = 0; d < result.dead_features.size(); ++d) {
         std::printf("%s%s", d == 0 ? "" : ", ",
                     t3::JsonQuote(result.dead_features[d]).c_str());
+      }
+      std::printf("],\n      \"notes\": [");
+      for (size_t n = 0; n < result.notes.size(); ++n) {
+        std::printf("%s%s", n == 0 ? "" : ", ",
+                    t3::JsonQuote(result.notes[n]).c_str());
       }
       std::printf("],\n");
     } else if (std::strcmp(result.kind, "plan") == 0) {
