@@ -1,7 +1,8 @@
 // Extra experiment: end-to-end throughput of the T3 prediction service
 // (src/server) — the full wire-protocol path (client encode -> TCP ->
-// server batcher -> QuickScorer PredictBatch -> decode), not just the in-process
-// evaluator of Table 2. Sweeps concurrent connections {1, 8, 64}; the
+// server worker decode -> QuickScorer PredictBatch over the request's rows
+// -> encode -> client decode), not just the in-process evaluator of
+// Table 2. Sweeps concurrent connections {1, 8, 64}; the
 // 64-connection run performs a mid-run atomic hot swap. Each connection
 // cycles through prebuilt requests of the corpus's real pipeline rows, and
 // the acceptance gates are:

@@ -25,14 +25,14 @@ void ThreadPool::Submit(std::function<void()> fn) {
   {
     std::unique_lock<std::mutex> lock(mutex_);
     queue_.push_back(std::move(fn));
-    ++in_flight_;
+    ++unfinished_;
   }
   work_available_.notify_one();
 }
 
 void ThreadPool::Wait() {
   std::unique_lock<std::mutex> lock(mutex_);
-  all_done_.wait(lock, [this] { return in_flight_ == 0; });
+  all_done_.wait(lock, [this] { return unfinished_ == 0; });
 }
 
 void ThreadPool::WorkerLoop() {
@@ -49,7 +49,7 @@ void ThreadPool::WorkerLoop() {
     task();
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      if (--in_flight_ == 0) all_done_.notify_all();
+      if (--unfinished_ == 0) all_done_.notify_all();
     }
   }
 }

@@ -50,7 +50,7 @@ class ThreadPool {
   std::condition_variable all_done_;
   std::deque<std::function<void()>> queue_;
   std::vector<std::thread> threads_;
-  size_t in_flight_ = 0;  // queued + currently running tasks
+  size_t unfinished_ = 0;  // queued + currently running tasks
   bool shutdown_ = false;
 };
 

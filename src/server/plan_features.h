@@ -11,8 +11,8 @@ namespace t3 {
 /// The prediction input derived from one serialized plan: per-pipeline
 /// feature rows (row-major, kFeatureDim wide) plus each pipeline's driving
 /// cardinality — exactly what a kPredictRows request would carry, so both
-/// request kinds share the batching path and the per-row seconds
-/// conversion. The query prediction is the pipeline predictions summed in
+/// request kinds share the server's prediction path and the per-row
+/// seconds conversion. The query prediction is the pipeline predictions summed in
 /// pipeline order (the PredictQuerySeconds convention).
 struct PlanPredictionInput {
   size_t num_features = 0;

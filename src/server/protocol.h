@@ -28,11 +28,10 @@ namespace t3 {
 /// trailing bytes are protocol errors, mirroring the strict parsers of the
 /// corpus/model text formats.
 ///
-/// Request/response pairing is FIFO per connection for prediction requests
-/// (they funnel through one batching queue). Admin requests (swap, stats,
-/// shutdown) are answered inline by the handling worker and may overtake
-/// in-flight prediction responses, so admin clients should use a dedicated
-/// connection (t3_loadgen does).
+/// Request/response pairing is FIFO per connection: one server worker owns
+/// a connection and answers its requests one at a time, in the order they
+/// arrive, admin requests (swap, stats, shutdown) included. A slow swap
+/// therefore delays the predictions queued behind it on that connection.
 inline constexpr uint8_t kMagic[4] = {'t', '3', 'p', '1'};
 inline constexpr size_t kFrameHeaderBytes = 12;
 inline constexpr uint32_t kMaxPayloadBytes = 16u << 20;  // 16 MiB
@@ -106,7 +105,7 @@ Result<PredictRowsRequest> DecodePredictRows(const Frame& frame);
 // --- kPredictOk ---
 
 /// Predicted seconds per requested row (one value for kPredictPlan), plus
-/// the version of the model that produced every one of them — a batch is
+/// the version of the model that produced every one of them — a request is
 /// always served by a single model snapshot, never half-and-half across a
 /// hot swap.
 struct PredictResponse {

@@ -1,5 +1,6 @@
 #include "server/server.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -12,7 +13,6 @@
 #include <unistd.h>
 #include <utility>
 
-#include "common/check.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
@@ -26,40 +26,32 @@ constexpr double kDrainDeadlineSeconds = 5.0;
 
 }  // namespace
 
-/// Per-connection state. The owning worker's loop thread is the only
-/// mutator of the buffers below the fence comment; `ready`, `dead`, and
-/// `in_flight` are the cross-thread handoff with the batcher's inference
-/// loop (responses enqueue under `ready_mu`, then the worker moves them
-/// into `out`).
+/// Per-connection state, touched only by the worker that accepted the
+/// connection: it reads, predicts and writes in one thread, so responses
+/// are queued in request order.
 struct PredictionServer::Connection {
   ScopedFd fd;
-
-  // Worker-thread-owned.
   std::vector<uint8_t> in;   ///< Unparsed request bytes.
   size_t parse_pos = 0;
   std::deque<std::vector<uint8_t>> out;  ///< Encoded frames to write.
   size_t out_offset = 0;     ///< Bytes of out.front() already written.
   bool close_after_flush = false;
+  bool dead = false;
 
-  // Shared with the inference loop.
-  std::mutex ready_mu;
-  std::vector<std::vector<uint8_t>> ready;  ///< Completed responses.
-  std::atomic<bool> dead{false};
-  std::atomic<int> in_flight{0};
+  void Send(const Frame& frame) { out.push_back(EncodeFrame(frame)); }
 };
 
 struct PredictionServer::Worker {
   size_t index = 0;
+  /// Written by Stop() so a worker blocked in poll() exits promptly.
   ScopedFd wake_read;
   ScopedFd wake_write;
-  std::vector<std::shared_ptr<Connection>> conns;
+  std::vector<std::unique_ptr<Connection>> conns;
 };
 
 PredictionServer::PredictionServer(
     std::shared_ptr<const ServingModel> initial, ServerOptions options)
-    : options_(std::move(options)),
-      registry_(std::move(initial)),
-      batcher_(&registry_) {}
+    : options_(std::move(options)), registry_(std::move(initial)) {}
 
 PredictionServer::~PredictionServer() { Stop(); }
 
@@ -100,9 +92,7 @@ Result<std::unique_ptr<PredictionServer>> PredictionServer::Start(
     server->workers_.push_back(std::move(worker));
   }
 
-  // Workers + the batcher's inference loop all run on one pool.
-  server->pool_ = std::make_unique<ThreadPool>(num_workers + 1);
-  server->batcher_.Start(server->pool_.get());
+  server->pool_ = std::make_unique<ThreadPool>(num_workers);
   for (auto& worker : server->workers_) {
     Worker* raw = worker.get();
     server->pool_->Submit([server = server.get(), raw] {
@@ -128,10 +118,9 @@ void PredictionServer::Stop() {
   }
   std::lock_guard<std::mutex> teardown(teardown_mu_);
   if (workers_joined_) return;
+  // A worker queues each response as it decodes the request, so every
+  // decoded request is answered by the workers' final flush.
   stopping_.store(true, std::memory_order_release);
-  // Drain first: every accepted request gets its prediction computed and
-  // its response enqueued before the workers run their final flush.
-  batcher_.Stop();
   for (auto& worker : workers_) {
     const uint8_t byte = 1;
     (void)!::write(worker->wake_write.get(), &byte, 1);
@@ -152,7 +141,11 @@ ServerStats PredictionServer::stats() const {
   stats.predict_requests = predict_requests_.load(std::memory_order_relaxed);
   stats.rows_predicted = rows_predicted_.load(std::memory_order_relaxed);
   stats.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
-  stats.batcher = batcher_.stats();
+  stats.batcher.jobs = stats.predict_requests;
+  stats.batcher.rows = stats.rows_predicted;
+  stats.batcher.batches = stats.predict_requests;
+  stats.batcher.max_batch_rows_seen =
+      max_request_rows_.load(std::memory_order_relaxed);
   stats.model_version = registry_.Current()->version;
   return stats;
 }
@@ -176,10 +169,7 @@ std::string PredictionServer::StatsText() const {
                     static_cast<unsigned long long>(stats.rows_predicted));
   text += StrFormat("protocol_errors %llu\n",
                     static_cast<unsigned long long>(stats.protocol_errors));
-  text += StrFormat("batches %llu\n",
-                    static_cast<unsigned long long>(stats.batcher.batches));
-  text += StrFormat("rows_per_batch %.2f\n", stats.batcher.RowsPerBatch());
-  text += StrFormat("max_batch_rows_seen %llu\n",
+  text += StrFormat("max_request_rows %llu\n",
                     static_cast<unsigned long long>(
                         stats.batcher.max_batch_rows_seen));
   text += StrFormat("model_swaps %u\n", registry_.num_swaps());
@@ -187,12 +177,6 @@ std::string PredictionServer::StatsText() const {
 }
 
 namespace {
-
-void WakeWorker(int wake_write_fd) {
-  const uint8_t byte = 1;
-  // A full pipe already holds a pending wake; EAGAIN is success here.
-  (void)!::write(wake_write_fd, &byte, 1);
-}
 
 void DrainWakePipe(int wake_read_fd) {
   uint8_t buffer[256];
@@ -202,63 +186,58 @@ void DrainWakePipe(int wake_read_fd) {
 
 }  // namespace
 
-void PredictionServer::SendFrame(Worker* worker,
-                                 const std::shared_ptr<Connection>& conn,
-                                 const Frame& frame) {
-  std::vector<uint8_t> bytes = EncodeFrame(frame);
-  {
-    std::lock_guard<std::mutex> lock(conn->ready_mu);
-    if (conn->dead.load(std::memory_order_relaxed)) return;
-    conn->ready.push_back(std::move(bytes));
+Frame PredictionServer::Predict(const std::vector<double>& rows,
+                                size_t num_rows,
+                                const std::vector<double>& cardinalities,
+                                bool sum_to_one) {
+  predict_requests_.fetch_add(1, std::memory_order_relaxed);
+  rows_predicted_.fetch_add(num_rows, std::memory_order_relaxed);
+  uint64_t max_rows = max_request_rows_.load(std::memory_order_relaxed);
+  while (max_rows < num_rows &&
+         !max_request_rows_.compare_exchange_weak(
+             max_rows, num_rows, std::memory_order_relaxed)) {
   }
-  WakeWorker(worker->wake_write.get());
-}
 
-void PredictionServer::FinishPredict(
-    Worker* worker, const std::shared_ptr<Connection>& conn,
-    std::vector<double> cardinalities, bool sum_to_one,
-    Result<RequestBatcher::Reply> reply) {
-  if (!reply.ok()) {
-    SendFrame(worker, conn, EncodeErrorResponse(reply.status()));
-  } else if (sum_to_one &&
-             reply->model->model.target() == PredictionTarget::kPerQuery) {
+  // One model snapshot per request: every row is answered by the same
+  // version, and a concurrent hot swap only affects later requests.
+  const std::shared_ptr<const ServingModel> model = registry_.Current();
+  const size_t dim = static_cast<size_t>(model->num_features());
+  if (rows.size() != num_rows * dim) {
+    return EncodeErrorResponse(InvalidArgumentError(StrFormat(
+        "request rows have %zu values for %zu rows of the served "
+        "model's %zu features",
+        rows.size(), num_rows, dim)));
+  }
+  if (sum_to_one && model->model.target() == PredictionTarget::kPerQuery) {
     // A per-query model was trained on summed query vectors
     // (SummedQueryFeatures), so summing its per-pipeline outputs would
     // answer with a number it was never trained to produce.
-    SendFrame(worker, conn,
-              EncodeErrorResponse(FailedPreconditionError(StrFormat(
-                  "plan requests need a per-tuple or per-pipeline model; "
-                  "the served model %s (version %u) has the per-query "
-                  "target",
-                  reply->model->source.c_str(), reply->model->version))));
-  } else {
-    const ServingModel& model = *reply->model;
-    PredictResponse response;
-    response.model_version = model.version;
-    if (sum_to_one) {
-      // Plan request: pipeline predictions summed left to right, the
-      // PredictQuerySeconds convention.
-      double total = 0.0;
-      for (size_t i = 0; i < reply->raw.size(); ++i) {
-        total += model.RowSeconds(reply->raw[i], cardinalities[i]);
-      }
-      response.predictions.push_back(total);
-    } else {
-      response.predictions.reserve(reply->raw.size());
-      for (size_t i = 0; i < reply->raw.size(); ++i) {
-        response.predictions.push_back(
-            model.RowSeconds(reply->raw[i], cardinalities[i]));
-      }
-    }
-    SendFrame(worker, conn, EncodePredictResponse(response));
+    return EncodeErrorResponse(FailedPreconditionError(StrFormat(
+        "plan requests need a per-tuple or per-pipeline model; the served "
+        "model %s (version %u) has the per-query target",
+        model->source.c_str(), model->version)));
   }
-  conn->in_flight.fetch_sub(1, std::memory_order_acq_rel);
-  WakeWorker(worker->wake_write.get());
+
+  std::vector<double> seconds(num_rows);
+  model->evaluator().PredictBatch(rows.data(), num_rows, dim, seconds.data());
+  for (size_t i = 0; i < num_rows; ++i) {
+    seconds[i] = model->RowSeconds(seconds[i], cardinalities[i]);
+  }
+  PredictResponse response;
+  response.model_version = model->version;
+  if (sum_to_one) {
+    // Plan request: pipeline predictions summed left to right, the
+    // PredictQuerySeconds convention.
+    double total = 0.0;
+    for (const double value : seconds) total += value;
+    response.predictions.push_back(total);
+  } else {
+    response.predictions = std::move(seconds);
+  }
+  return EncodePredictResponse(response);
 }
 
-void PredictionServer::HandleFrame(Worker* worker,
-                                   const std::shared_ptr<Connection>& conn,
-                                   MessageType type,
+void PredictionServer::HandleFrame(Connection* conn, MessageType type,
                                    std::vector<uint8_t> payload) {
   Frame frame;
   frame.type = type;
@@ -269,22 +248,12 @@ void PredictionServer::HandleFrame(Worker* worker,
       Result<PredictRowsRequest> request = DecodePredictRows(frame);
       if (!request.ok()) {
         protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        SendFrame(worker, conn, EncodeErrorResponse(request.status()));
+        conn->Send(EncodeErrorResponse(request.status()));
         return;
       }
-      predict_requests_.fetch_add(1, std::memory_order_relaxed);
-      rows_predicted_.fetch_add(request->num_rows(),
-                                std::memory_order_relaxed);
-      const size_t num_rows = request->num_rows();
-      std::vector<double> cards = std::move(request->input_cardinalities);
-      conn->in_flight.fetch_add(1, std::memory_order_acq_rel);
-      batcher_.Submit(
-          std::move(request->rows), num_rows,
-          [this, worker, conn, cards = std::move(cards)](
-              Result<RequestBatcher::Reply> reply) mutable {
-            FinishPredict(worker, conn, std::move(cards),
-                          /*sum_to_one=*/false, std::move(reply));
-          });
+      conn->Send(Predict(request->rows, request->num_rows(),
+                         request->input_cardinalities,
+                         /*sum_to_one=*/false));
       return;
     }
     case MessageType::kPredictPlan: {
@@ -294,22 +263,11 @@ void PredictionServer::HandleFrame(Worker* worker,
       Result<PlanPredictionInput> input = BuildPlanPredictionInput(text);
       if (!input.ok()) {
         protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        SendFrame(worker, conn, EncodeErrorResponse(input.status()));
+        conn->Send(EncodeErrorResponse(input.status()));
         return;
       }
-      predict_requests_.fetch_add(1, std::memory_order_relaxed);
-      rows_predicted_.fetch_add(input->num_rows(),
-                                std::memory_order_relaxed);
-      const size_t num_rows = input->num_rows();
-      std::vector<double> cards = std::move(input->input_cardinalities);
-      conn->in_flight.fetch_add(1, std::memory_order_acq_rel);
-      batcher_.Submit(
-          std::move(input->rows), num_rows,
-          [this, worker, conn, cards = std::move(cards)](
-              Result<RequestBatcher::Reply> reply) mutable {
-            FinishPredict(worker, conn, std::move(cards),
-                          /*sum_to_one=*/true, std::move(reply));
-          });
+      conn->Send(Predict(input->rows, input->num_rows(),
+                         input->input_cardinalities, /*sum_to_one=*/true));
       return;
     }
     case MessageType::kSwapModel: {
@@ -317,36 +275,31 @@ void PredictionServer::HandleFrame(Worker* worker,
                        frame.payload.size());
       if (path.empty()) path = options_.default_swap_path;
       if (path.empty()) {
-        SendFrame(worker, conn,
-                  EncodeErrorResponse(FailedPreconditionError(
-                      "swap request without a path and no default "
-                      "configured")));
+        conn->Send(EncodeErrorResponse(FailedPreconditionError(
+            "swap request without a path and no default configured")));
         return;
       }
       Result<uint32_t> version = SwapFromFile(path);
       if (!version.ok()) {
-        SendFrame(worker, conn, EncodeErrorResponse(version.status()));
+        conn->Send(EncodeErrorResponse(version.status()));
         return;
       }
       std::fprintf(stderr, "t3 server: hot-swapped to %s (version %u)\n",
                    path.c_str(), *version);
-      SendFrame(worker, conn, EncodeSwapResponse(*version));
+      conn->Send(EncodeSwapResponse(*version));
       return;
     }
     case MessageType::kStats: {
-      SendFrame(worker, conn,
-                EncodeTextFrame(MessageType::kStatsOk, StatsText()));
+      conn->Send(EncodeTextFrame(MessageType::kStatsOk, StatsText()));
       return;
     }
     case MessageType::kShutdown: {
       if (!options_.allow_remote_shutdown) {
-        SendFrame(worker, conn,
-                  EncodeErrorResponse(FailedPreconditionError(
-                      "remote shutdown is disabled")));
+        conn->Send(EncodeErrorResponse(
+            FailedPreconditionError("remote shutdown is disabled")));
         return;
       }
-      SendFrame(worker, conn,
-                EncodeEmptyFrame(MessageType::kShutdownOk));
+      conn->Send(EncodeEmptyFrame(MessageType::kShutdownOk));
       conn->close_after_flush = true;
       std::lock_guard<std::mutex> lock(state_mu_);
       stop_requested_ = true;
@@ -356,10 +309,8 @@ void PredictionServer::HandleFrame(Worker* worker,
     default: {
       // A response type sent as a request.
       protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      SendFrame(worker, conn,
-                EncodeErrorResponse(InvalidArgumentError(StrFormat(
-                    "message type %d is not a request",
-                    static_cast<int>(type)))));
+      conn->Send(EncodeErrorResponse(InvalidArgumentError(StrFormat(
+          "message type %d is not a request", static_cast<int>(type)))));
       conn->close_after_flush = true;
       return;
     }
@@ -381,15 +332,6 @@ void PredictionServer::ExecuteQueuedSwap() {
     std::fprintf(stderr, "t3 server: hot swap failed: %s\n",
                  version.status().ToString().c_str());
   }
-}
-
-void PredictionServer::DrainReady(Connection* conn) {
-  std::vector<std::vector<uint8_t>> batch;
-  {
-    std::lock_guard<std::mutex> lock(conn->ready_mu);
-    batch.swap(conn->ready);
-  }
-  for (auto& bytes : batch) conn->out.push_back(std::move(bytes));
 }
 
 bool PredictionServer::FlushWrites(Connection* conn) {
@@ -425,7 +367,7 @@ void PredictionServer::WorkerLoop(Worker* worker) {
         // EAGAIN: another worker won the race for this connection.
         return;
       }
-      auto conn = std::make_shared<Connection>();
+      auto conn = std::make_unique<Connection>();
       conn->fd = ScopedFd(fd);
       if (!SetNonBlocking(fd).ok()) continue;  // ScopedFd closes it.
       const int one = 1;
@@ -435,9 +377,9 @@ void PredictionServer::WorkerLoop(Worker* worker) {
     }
   };
 
-  // Parses complete frames out of conn->in; returns false on a framing
-  // error (error response queued, connection marked for close).
-  auto parse_frames = [&](const std::shared_ptr<Connection>& conn) {
+  // Handles every complete frame in conn->in, in order. A framing error
+  // queues a kError and stops parsing: the connection closes after flush.
+  auto parse_frames = [&](Connection* conn) {
     while (!conn->close_after_flush) {
       const size_t available = conn->in.size() - conn->parse_pos;
       if (available < kFrameHeaderBytes) break;
@@ -445,7 +387,7 @@ void PredictionServer::WorkerLoop(Worker* worker) {
           DecodeFrameHeader(conn->in.data() + conn->parse_pos);
       if (!header.ok()) {
         protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        SendFrame(worker, conn, EncodeErrorResponse(header.status()));
+        conn->Send(EncodeErrorResponse(header.status()));
         conn->close_after_flush = true;
         break;
       }
@@ -455,7 +397,7 @@ void PredictionServer::WorkerLoop(Worker* worker) {
       std::vector<uint8_t> payload(payload_begin,
                                    payload_begin + header->payload_size);
       conn->parse_pos += kFrameHeaderBytes + header->payload_size;
-      HandleFrame(worker, conn, header->type, std::move(payload));
+      HandleFrame(conn, header->type, std::move(payload));
     }
     if (conn->parse_pos > 0) {
       conn->in.erase(conn->in.begin(),
@@ -466,7 +408,8 @@ void PredictionServer::WorkerLoop(Worker* worker) {
   };
 
   // Reads until EAGAIN/EOF. Returns false when the socket errored hard.
-  auto read_and_handle = [&](const std::shared_ptr<Connection>& conn) {
+  auto read_and_handle = [&](Connection* conn) {
+    bool peer_done = false;
     for (;;) {
       const ssize_t n =
           ::read(conn->fd.get(), read_buffer, sizeof(read_buffer));
@@ -476,8 +419,7 @@ void PredictionServer::WorkerLoop(Worker* worker) {
         continue;
       }
       if (n == 0) {
-        // Peer finished sending: answer what we have, then close.
-        conn->close_after_flush = true;
+        peer_done = true;
         break;
       }
       if (errno == EINTR) continue;
@@ -485,26 +427,16 @@ void PredictionServer::WorkerLoop(Worker* worker) {
       return false;
     }
     parse_frames(conn);
+    // Peer finished sending: the frames it sent are answered, then close.
+    if (peer_done) conn->close_after_flush = true;
     return true;
   };
 
   auto reap = [&] {
     auto& conns = worker->conns;
     for (size_t i = 0; i < conns.size();) {
-      Connection* conn = conns[i].get();
-      // Read in_flight before ready: FinishPredict pushes the response
-      // first and decrements after, so idle==true (acquire pairing with
-      // the acq_rel decrement) guarantees every response is visible in
-      // `ready` by the time we check it.
-      const bool idle =
-          conn->in_flight.load(std::memory_order_acquire) == 0;
-      const bool flushed = conn->out.empty() && [&] {
-        std::lock_guard<std::mutex> lock(conn->ready_mu);
-        return conn->ready.empty();
-      }();
-      if ((conn->dead.load(std::memory_order_relaxed) && idle) ||
-          (conn->close_after_flush && flushed && idle)) {
-        conn->dead.store(true, std::memory_order_relaxed);
+      const Connection& conn = *conns[i];
+      if (conn.dead || (conn.close_after_flush && conn.out.empty())) {
         conns.erase(conns.begin() + static_cast<ptrdiff_t>(i));
         continue;
       }
@@ -513,12 +445,8 @@ void PredictionServer::WorkerLoop(Worker* worker) {
   };
 
   while (!stopping_.load(std::memory_order_acquire)) {
-    for (auto& conn : worker->conns) DrainReady(conn.get());
     for (auto& conn : worker->conns) {
-      if (!conn->dead.load(std::memory_order_relaxed) &&
-          !FlushWrites(conn.get())) {
-        conn->dead.store(true, std::memory_order_relaxed);
-      }
+      if (!conn->dead && !FlushWrites(conn.get())) conn->dead = true;
     }
     reap();
 
@@ -545,58 +473,34 @@ void PredictionServer::WorkerLoop(Worker* worker) {
     if (pfds[1].revents & POLLIN) accept_all();
 
     for (size_t i = 0; i < polled_conns; ++i) {
-      const std::shared_ptr<Connection>& conn = worker->conns[i];
+      Connection* conn = worker->conns[i].get();
       const short revents = pfds[2 + i].revents;
       if (revents & (POLLERR | POLLNVAL)) {
-        conn->dead.store(true, std::memory_order_relaxed);
+        conn->dead = true;
         continue;
       }
-      if (revents & (POLLIN | POLLHUP)) {
-        if (!read_and_handle(conn)) {
-          conn->dead.store(true, std::memory_order_relaxed);
-        }
+      if ((revents & (POLLIN | POLLHUP)) && !read_and_handle(conn)) {
+        conn->dead = true;
       }
     }
   }
 
-  // Drain phase: the batcher has been (or is being) drained; flush every
-  // remaining response, bounded by a deadline so a stalled client cannot
-  // wedge shutdown.
+  // Drain phase: every decoded request already has its response queued;
+  // flush them, bounded by a deadline so a stalled client cannot wedge
+  // shutdown.
   Stopwatch drain_timer;
   for (;;) {
-    for (auto& conn : worker->conns) DrainReady(conn.get());
-    bool pending = false;
-    for (auto& conn : worker->conns) {
-      if (conn->dead.load(std::memory_order_relaxed)) continue;
-      if (!FlushWrites(conn.get())) {
-        conn->dead.store(true, std::memory_order_relaxed);
-        continue;
-      }
-      if (!conn->out.empty() ||
-          conn->in_flight.load(std::memory_order_acquire) > 0) {
-        pending = true;
-      }
-    }
-    for (auto& conn : worker->conns) {
-      std::lock_guard<std::mutex> lock(conn->ready_mu);
-      if (!conn->ready.empty()) pending = true;
-    }
-    if (!pending || drain_timer.ElapsedSeconds() > kDrainDeadlineSeconds) {
-      break;
-    }
     pfds.clear();
-    pfds.push_back({worker->wake_read.get(), POLLIN, 0});
     for (auto& conn : worker->conns) {
-      if (!conn->out.empty() &&
-          !conn->dead.load(std::memory_order_relaxed)) {
+      if (!conn->dead && !FlushWrites(conn.get())) conn->dead = true;
+      if (!conn->dead && !conn->out.empty()) {
         pfds.push_back({conn->fd.get(), POLLOUT, 0});
       }
     }
+    if (pfds.empty() || drain_timer.ElapsedSeconds() > kDrainDeadlineSeconds) {
+      break;
+    }
     (void)::poll(pfds.data(), pfds.size(), kPollTimeoutMs);
-    DrainWakePipe(worker->wake_read.get());
-  }
-  for (auto& conn : worker->conns) {
-    conn->dead.store(true, std::memory_order_relaxed);
   }
   worker->conns.clear();
 }

@@ -11,7 +11,6 @@
 
 #include "common/net.h"
 #include "common/status.h"
-#include "server/batcher.h"
 #include "server/protocol.h"
 #include "server/serving_model.h"
 
@@ -33,6 +32,19 @@ struct ServerOptions {
   std::string default_swap_path;
 };
 
+/// Prediction counters under the names of the request batcher this server
+/// once had, kept so that perfbench's serve phase reads them unchanged. Each
+/// request is predicted on its own, so it counts as one batch: `jobs` and
+/// `batches` both equal ServerStats::predict_requests, `rows` equals
+/// ServerStats::rows_predicted, and `max_batch_rows_seen` is the largest
+/// request.
+struct BatcherStats {
+  uint64_t jobs = 0;
+  uint64_t rows = 0;
+  uint64_t batches = 0;
+  uint64_t max_batch_rows_seen = 0;
+};
+
 /// Monotonic counters across all workers.
 struct ServerStats {
   uint64_t connections_accepted = 0;
@@ -50,14 +62,14 @@ struct ServerStats {
 ///  - N worker threads on an internal ThreadPool, each running a poll()
 ///    event loop over non-blocking sockets; all workers poll the shared
 ///    listener, so accepted connections spread across loops;
-///  - prediction requests are decoded on the worker and submitted to the
-///    RequestBatcher, which coalesces every in-flight request into single
-///    PredictBatch calls; completions re-enter the owning worker via
-///    its wake pipe, so a worker keeps serving other sockets while
-///    predictions are in flight;
+///  - a connection belongs to the worker that accepted it. That worker
+///    decodes each request, predicts it in line (one model snapshot, one
+///    PredictBatch over the request's own rows), and queues the response,
+///    so responses leave in request order and a large request delays only
+///    the connections of its own worker;
 ///  - models are versioned snapshots swapped atomically through the
 ///    ModelRegistry (release/acquire shared_ptr publish) — swaps never
-///    drop or stall in-flight requests;
+///    drop or stall requests;
 ///  - client misbehavior (disconnects mid-frame, oversized or malformed
 ///    frames) costs at most that connection: bad frames get a kError
 ///    response and a close, aborted sockets are reaped, SIGPIPE is ignored
@@ -79,8 +91,8 @@ class PredictionServer {
   /// frame).
   void Wait();
 
-  /// Graceful stop: stop accepting, drain the batcher (every accepted
-  /// request is answered), flush sockets, join the workers. Idempotent.
+  /// Graceful stop: stop accepting, flush the response of every request a
+  /// worker has decoded, join the workers. Idempotent.
   void Stop();
 
   /// Hot-swaps to the model at `path`, re-proving serialization
@@ -108,25 +120,21 @@ class PredictionServer {
                    ServerOptions options);
 
   void WorkerLoop(Worker* worker);
-  void HandleFrame(Worker* worker, const std::shared_ptr<Connection>& conn,
-                   MessageType type, std::vector<uint8_t> payload);
-  void FinishPredict(Worker* worker,
-                     const std::shared_ptr<Connection>& conn,
-                     std::vector<double> cardinalities, bool sum_to_one,
-                     Result<RequestBatcher::Reply> reply);
-  void SendFrame(Worker* worker, const std::shared_ptr<Connection>& conn,
-                 const Frame& frame);
+  void HandleFrame(Connection* conn, MessageType type,
+                   std::vector<uint8_t> payload);
+  /// Predicts `num_rows` row-major rows on one snapshot of the current
+  /// model and returns the response frame: per-row seconds, or their sum
+  /// for a plan (`sum_to_one`), or a kError when the rows do not fit the
+  /// model.
+  Frame Predict(const std::vector<double>& rows, size_t num_rows,
+                const std::vector<double>& cardinalities, bool sum_to_one);
   void ExecuteQueuedSwap();
-  /// Moves completed responses from the cross-thread `ready` queue into the
-  /// worker-owned write queue.
-  static void DrainReady(Connection* conn);
   /// Writes as much pending output as the socket accepts; false when the
   /// connection failed (peer reset / EPIPE) and must be reaped.
   static bool FlushWrites(Connection* conn);
 
   ServerOptions options_;
   ModelRegistry registry_;
-  RequestBatcher batcher_;
   ScopedFd listener_;
   uint16_t port_ = 0;
   std::unique_ptr<ThreadPool> pool_;
@@ -144,6 +152,7 @@ class PredictionServer {
   std::atomic<uint64_t> predict_requests_{0};
   std::atomic<uint64_t> rows_predicted_{0};
   std::atomic<uint64_t> protocol_errors_{0};
+  std::atomic<uint64_t> max_request_rows_{0};
 };
 
 }  // namespace t3

@@ -14,10 +14,10 @@ namespace t3 {
 
 /// One immutable, versioned model snapshot the server predicts with: the
 /// T3Model plus its row evaluators. Snapshots are shared read-only
-/// across worker threads and batches via shared_ptr<const ServingModel>;
-/// a hot swap publishes a new snapshot and in-flight batches finish on the
-/// old one (the shared_ptr keeps it alive), so no request is ever dropped
-/// or served by a half-swapped model.
+/// across worker threads via shared_ptr<const ServingModel>; a hot swap
+/// publishes a new snapshot and requests being predicted finish on the old
+/// one (the shared_ptr keeps it alive), so no request is ever dropped or
+/// served by a half-swapped model.
 struct ServingModel {
   T3Model model;
   /// QuickScorer bitvector evaluator; null when a tree has more leaves
@@ -45,8 +45,8 @@ struct ServingModel {
   int num_features() const { return model.forest().num_features; }
 
   /// Raw forest output -> predicted pipeline seconds through
-  /// T3Model::SecondsFromRaw, so batched server predictions bit-match the
-  /// direct model call.
+  /// T3Model::SecondsFromRaw, so served predictions bit-match the direct
+  /// model call.
   double RowSeconds(double raw, double input_cardinality) const {
     return model.SecondsFromRaw(raw, input_cardinality);
   }
@@ -74,14 +74,14 @@ Result<std::shared_ptr<const ServingModel>> LoadServingModel(
 ///    (forest arrays, evaluator tables) visible
 ///    to any thread whose Current() observes the new pointer;
 ///  - readers copy the shared_ptr inside the critical section and hold the
-///    reference outside it, so the old snapshot outlives every batch still
-///    predicting with it and is freed when the last reference drops.
+///    reference outside it, so the old snapshot outlives every request
+///    still predicting with it and is freed when the last reference drops.
 ///
-/// Current() is one uncontended lock + shared_ptr copy, taken once per
-/// coalesced batch — not per row — so it is never on the per-prediction
-/// hot path. (std::atomic<std::shared_ptr> would make the read lock-free,
-/// but libstdc++'s lock-bit implementation is opaque to ThreadSanitizer
-/// and CI runs the server tests under TSan.)
+/// Current() is one lock + shared_ptr copy, taken once per request — not
+/// per row — so it is never on the per-prediction hot path.
+/// (std::atomic<std::shared_ptr> would make the read lock-free, but
+/// libstdc++'s lock-bit implementation is opaque to ThreadSanitizer and CI
+/// runs the server tests under TSan.)
 ///
 /// Swap versions continue strictly increasing from the initial snapshot's.
 class ModelRegistry {

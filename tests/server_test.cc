@@ -3,6 +3,8 @@
 // misbehavior (disconnects, malformed frames), and the hot-swap contract
 // (zero dropped requests, per-version bit-matching) under concurrent load.
 
+#include <sys/socket.h>
+
 #include <atomic>
 #include <cstring>
 #include <memory>
@@ -228,7 +230,7 @@ TEST(PredictionServerTest, PredictRowsBitMatchesDirectModel) {
       const double expected = reference.PredictPipelineSeconds(
           request.rows.data() + i * kFeatures,
           request.input_cardinalities[i]);
-      // Bit-exact, not approximately: the whole serving path (batcher,
+      // Bit-exact, not approximately: the whole serving path (decode,
       // QuickScorer, wire encoding) must not perturb a single ULP.
       EXPECT_EQ(response->predictions[i], expected) << "row " << i;
     }
@@ -454,6 +456,76 @@ TEST(PredictionServerTest, WrongFeatureWidthIsAnErrorNotACrash) {
   (*server)->Stop();
 }
 
+// Four requests in one write, then a half-close: the responses come back in
+// request order, the bad-width request fails alone, and the server answers
+// everything it received before it closes.
+TEST(PredictionServerTest, PipelinedFramesAnswerInOrderThenClose) {
+  const int kFeatures = 48;
+  const T3Model reference = MakeRandomModel(58, kFeatures, 12);
+  Result<std::unique_ptr<PredictionServer>> server = PredictionServer::Start(
+      MakeTestServingModel(58, kFeatures, 12), TestServerOptions());
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  Result<std::string> plan_text = ReadFileToString(
+      std::string(T3_SOURCE_DIR) + "/data/plan_agg_golden.txt");
+  ASSERT_TRUE(plan_text.ok()) << plan_text.status().ToString();
+  Result<PlanPredictionInput> plan = BuildPlanPredictionInput(*plan_text);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  double plan_expected = 0.0;
+  for (size_t i = 0; i < plan->num_rows(); ++i) {
+    plan_expected += reference.PredictPipelineSeconds(
+        plan->rows.data() + i * kFeatures, plan->input_cardinalities[i]);
+  }
+
+  const PredictRowsRequest first = MakeRandomRequest(59, 7, kFeatures);
+  const PredictRowsRequest narrow = MakeRandomRequest(60, 3, kFeatures - 1);
+  const PredictRowsRequest last = MakeRandomRequest(61, 5, kFeatures);
+  std::vector<uint8_t> bytes;
+  for (const Frame& frame :
+       {EncodePredictRows(first),
+        EncodeTextFrame(MessageType::kPredictPlan, *plan_text),
+        EncodePredictRows(narrow), EncodePredictRows(last)}) {
+    const std::vector<uint8_t> encoded = EncodeFrame(frame);
+    bytes.insert(bytes.end(), encoded.begin(), encoded.end());
+  }
+  Result<PredictionClient> client =
+      PredictionClient::Connect("127.0.0.1", (*server)->port());
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client->RawSend(bytes.data(), bytes.size()).ok());
+  ASSERT_EQ(::shutdown(client->fd(), SHUT_WR), 0);
+
+  auto expect_rows = [&](const PredictRowsRequest& request) {
+    Result<Frame> reply = client->RawReceive();
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    Result<PredictResponse> response = DecodePredictResponse(*reply);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    ASSERT_EQ(response->predictions.size(), request.num_rows());
+    for (size_t i = 0; i < request.num_rows(); ++i) {
+      EXPECT_EQ(response->predictions[i],
+                reference.PredictPipelineSeconds(
+                    request.rows.data() + i * kFeatures,
+                    request.input_cardinalities[i]))
+          << "row " << i;
+    }
+  };
+  expect_rows(first);
+  Result<Frame> plan_reply = client->RawReceive();
+  ASSERT_TRUE(plan_reply.ok()) << plan_reply.status().ToString();
+  Result<PredictResponse> plan_response = DecodePredictResponse(*plan_reply);
+  ASSERT_TRUE(plan_response.ok()) << plan_response.status().ToString();
+  ASSERT_EQ(plan_response->predictions.size(), 1u);
+  EXPECT_EQ(plan_response->predictions[0], plan_expected);
+  Result<Frame> narrow_reply = client->RawReceive();
+  ASSERT_TRUE(narrow_reply.ok()) << narrow_reply.status().ToString();
+  ASSERT_EQ(narrow_reply->type, MessageType::kError);
+  Result<ErrorResponse> error = DecodeErrorResponse(*narrow_reply);
+  ASSERT_TRUE(error.ok());
+  EXPECT_EQ(error->code, StatusCode::kInvalidArgument) << error->message;
+  expect_rows(last);
+  // Everything sent was answered; the server then closes: EOF.
+  EXPECT_FALSE(client->RawReceive().ok());
+  (*server)->Stop();
+}
+
 TEST(PredictionServerTest, SurvivesAbruptDisconnects) {
   Result<std::unique_ptr<PredictionServer>> server = PredictionServer::Start(
       MakeTestServingModel(57, 8, 4), TestServerOptions());
@@ -529,7 +601,7 @@ TEST(PredictionServerTest, HotSwapUnderLoadDropsNothingAndBitMatches) {
         return;
       }
       // Whichever version answered, it must bit-match that version's
-      // model on every row — never a torn batch across the swap.
+      // model on every row — never a torn request across the swap.
       const T3Model& version_model =
           response->model_version == 1 ? model_v1 : model_v2;
       for (size_t i = 0; i < request.num_rows(); ++i) {
@@ -616,6 +688,8 @@ TEST(PredictionServerTest, ProtocolShutdownStopsWait) {
   ASSERT_TRUE(stats.ok());
   EXPECT_NE(stats->find("model_version 1"), std::string::npos);
   EXPECT_NE(stats->find("model_features 8"), std::string::npos);
+  EXPECT_NE(stats->find("\nmax_request_rows 2\n"), std::string::npos)
+      << *stats;
 
   ASSERT_TRUE(client->Shutdown().ok());
   (*server)->Wait();  // Returns because the kShutdown frame stopped it.
