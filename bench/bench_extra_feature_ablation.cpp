@@ -9,19 +9,18 @@
 
 #include "bench_util.h"
 #include "features/feature_registry.h"
-#include "gbt/trainer.h"
 
 namespace t3 {
 namespace {
 
 /// Registry indices of every feature of one of the given kinds.
-std::vector<size_t> MaskedIndices(const std::vector<FeatureKind>& kinds) {
+std::vector<int> MaskedIndices(const std::vector<FeatureKind>& kinds) {
   const FeatureRegistry& registry = FeatureRegistry::Get();
-  std::vector<size_t> masked;
+  std::vector<int> masked;
   for (int i = 0; i < registry.num_features(); ++i) {
     for (FeatureKind kind : kinds) {
       if (registry.def(i).kind == kind) {
-        masked.push_back(static_cast<size_t>(i));
+        masked.push_back(i);
         break;
       }
     }
@@ -29,68 +28,9 @@ std::vector<size_t> MaskedIndices(const std::vector<FeatureKind>& kinds) {
   return masked;
 }
 
-/// Trains a per-tuple model on the train split with the masked features
-/// zeroed in every row (same recipe as Workbench::MainModel, fewer trees —
-/// this binary trains one model per variant).
-T3Model TrainMasked(const std::vector<const QueryRecord*>& train_records,
-                    const std::vector<size_t>& masked) {
-  const size_t num_features = static_cast<size_t>(kFeatureDim);
-  std::vector<double> rows;
-  std::vector<double> targets;
-  for (const QueryRecord* record : train_records) {
-    for (size_t p = 0; p < record->feat_true.size(); ++p) {
-      const PipelineFeatureVector& features = record->feat_true[p];
-      if (features.values.size() != num_features) continue;
-      std::vector<double> row = features.values;
-      for (size_t index : masked) row[index] = 0.0;
-      const double pipeline_seconds =
-          p < record->pipeline_times.size()
-              ? record->pipeline_times[p].median_seconds
-              : record->median_seconds;
-      const double tuples = std::max(features.input_cardinality, 1.0);
-      rows.insert(rows.end(), row.begin(), row.end());
-      targets.push_back(TransformTarget(pipeline_seconds / tuples));
-    }
-  }
-  T3_CHECK(!targets.empty());
-
-  TrainParams params;
-  params.num_trees = 80;
-  params.max_leaves = 31;
-  params.objective = Objective::kMape;
-  params.validation_fraction = 0.1;
-  params.early_stopping_rounds = 20;
-  Result<Forest> forest = TrainForest(rows, targets, num_features, params,
-                                      /*stats=*/nullptr);
-  T3_CHECK_OK(forest);
-  return T3Model(*std::move(forest), PredictionTarget::kPerTuple);
-}
-
-/// Q-error summary of `model` on the test split, with the same mask applied
-/// to the evaluation features the model was trained without.
-QErrorSummary EvaluateMasked(const T3Model& model,
-                             const std::vector<const QueryRecord*>& records,
-                             const std::vector<size_t>& masked) {
-  std::vector<double> q_errors;
-  q_errors.reserve(records.size());
-  for (const QueryRecord* record : records) {
-    double predicted = 0.0;
-    for (const PipelineFeatureVector& features : record->feat_true) {
-      std::vector<double> row = features.values;
-      for (size_t index : masked) row[index] = 0.0;
-      predicted +=
-          model.PredictPipelineSeconds(row.data(), features.input_cardinality);
-    }
-    q_errors.push_back(QError(predicted, record->median_seconds));
-  }
-  return Summarize(q_errors);
-}
-
 void Run() {
   Workbench& workbench = bench::SharedWorkbench();
-  const Corpus& corpus = workbench.corpus();
-  const auto train_records = SelectRecords(corpus, bench::IsTrain);
-  const auto test_records = SelectRecords(corpus, bench::IsTest);
+  const auto test_records = SelectRecords(workbench.corpus(), bench::IsTest);
 
   struct Variant {
     const char* label;
@@ -120,9 +60,17 @@ void Run() {
       "feature).");
   ReportTable table({"Variant", "p50", "p90", "Avg"});
   for (const Variant& variant : variants) {
-    const std::vector<size_t> masked = MaskedIndices(variant.masked);
-    const T3Model model = TrainMasked(train_records, masked);
-    const QErrorSummary summary = EvaluateMasked(model, test_records, masked);
+    // The main model's recipe with the variant's features zeroed in every
+    // training row and fewer trees (this binary trains one model per
+    // variant). GetModel checks that the forest never splits on a dropped
+    // feature, so the test rows need no mask.
+    T3Config config;
+    config.drop_features = MaskedIndices(variant.masked);
+    config.train.num_trees = 80;
+    const T3Model& model = workbench.GetModel(
+        "feature_ablation", CardinalityMode::kTrue, bench::IsTrain, config);
+    const QErrorSummary summary =
+        Summarize(EvaluateModel(model, test_records));
     table.AddRow({variant.label, bench::FormatQ(summary.p50),
                   bench::FormatQ(summary.p90), bench::FormatQ(summary.avg)});
   }

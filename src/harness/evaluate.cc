@@ -43,36 +43,35 @@ std::vector<double> SummedQueryFeatures(const QueryRecord& record,
                                         CardinalityMode mode) {
   const std::vector<PipelineFeatureVector>& features_set =
       mode == CardinalityMode::kTrue ? record.feat_true : record.feat_est;
-  std::vector<double> summed;
+  std::vector<double> rows;
+  size_t num_rows = 0;
+  size_t dim = 0;
   for (const PipelineFeatureVector& features : features_set) {
     if (features.values.empty()) continue;
-    if (summed.empty()) {
-      summed = features.values;
-      continue;
-    }
-    if (features.values.size() != summed.size()) return {};
-    for (size_t i = 0; i < summed.size(); ++i) {
-      summed[i] += features.values[i];
-    }
+    if (dim == 0) dim = features.values.size();
+    if (features.values.size() != dim) return {};
+    rows.insert(rows.end(), features.values.begin(), features.values.end());
+    ++num_rows;
   }
-  return summed;
+  if (num_rows == 0) return {};
+  return SumRows(rows.data(), num_rows, dim);
 }
 
 double PredictQuerySeconds(const T3Model& model, const QueryRecord& record,
                            CardinalityMode mode) {
-  if (model.target() == PredictionTarget::kPerQuery) {
-    const std::vector<double> summed = SummedQueryFeatures(record, mode);
-    if (summed.empty()) return 0.0;
-    return model.PredictPipelineSeconds(summed.data(), 0.0);
-  }
   const std::vector<PipelineFeatureVector>& features_set =
       mode == CardinalityMode::kTrue ? record.feat_true : record.feat_est;
-  double total = 0.0;
+  const size_t dim = static_cast<size_t>(model.forest().num_features);
+  std::vector<double> rows;
+  std::vector<double> cardinalities;
   for (const PipelineFeatureVector& features : features_set) {
-    total += model.PredictPipelineSeconds(features.values.data(),
-                                          features.input_cardinality);
+    if (features.values.size() != dim) return 0.0;
+    rows.insert(rows.end(), features.values.begin(), features.values.end());
+    cardinalities.push_back(features.input_cardinality);
   }
-  return total;
+  return model.QuerySeconds(
+      rows.data(), cardinalities.size(), cardinalities.data(),
+      [&model](const double* row) { return model.PredictRaw(row); });
 }
 
 std::vector<RecordEvaluation> EvaluateModel(

@@ -51,9 +51,12 @@ enum class CardinalityMode { kTrue = 0, kEstimated = 1 };
 std::vector<double> SummedQueryFeatures(const QueryRecord& record,
                                         CardinalityMode mode);
 
-/// Predicted total seconds of one corpus query under `model`: per-pipeline
-/// predictions summed over pipelines for per-tuple/per-pipeline targets;
-/// one prediction over SummedQueryFeatures for per-query targets.
+/// Predicted total seconds of one corpus query under `model`: the record's
+/// feature rows under `mode` through T3Model::QuerySeconds (pipeline
+/// predictions summed in order, or one per-query prediction over their
+/// sum). A record with a row that is not forest().num_features wide (the
+/// corpus loader accepts any width) does not fit the model and predicts
+/// 0 s, as a record without feature rows does.
 double PredictQuerySeconds(const T3Model& model, const QueryRecord& record,
                            CardinalityMode mode = CardinalityMode::kTrue);
 

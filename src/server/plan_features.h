@@ -10,10 +10,10 @@ namespace t3 {
 
 /// The prediction input derived from one serialized plan: per-pipeline
 /// feature rows (row-major, kFeatureDim wide) plus each pipeline's driving
-/// cardinality — exactly what a kPredictRows request would carry, so both
-/// request kinds share the server's prediction path and the per-row
-/// seconds conversion. The query prediction is the pipeline predictions summed in
-/// pipeline order (the PredictQuerySeconds convention).
+/// cardinality — exactly what a kPredictRows request would carry. The
+/// server turns them into one query prediction through
+/// T3Model::QuerySeconds, the rule the harness's PredictQuerySeconds uses,
+/// so every prediction target answers plan requests.
 struct PlanPredictionInput {
   size_t num_features = 0;
   std::vector<double> rows;

@@ -42,7 +42,8 @@ inline constexpr uint32_t kMaxFeaturesPerRow = 4096;
 enum class MessageType : uint8_t {
   // Requests.
   kPredictRows = 1,  ///< Feature rows + input cardinalities -> predictions.
-  kPredictPlan = 2,  ///< "t3plan v1" skeleton text -> one query prediction.
+  kPredictPlan = 2,  ///< "t3plan v1" skeleton text -> one query prediction
+                     ///  (T3Model::QuerySeconds; every model target).
   kSwapModel = 3,    ///< Hot-swap: payload = model path ("" = server default).
   kStats = 4,        ///< Server counters as text.
   kShutdown = 5,     ///< Graceful stop (servers may refuse; see options).
@@ -86,11 +87,11 @@ Result<Frame> DecodeFrame(const uint8_t* data, size_t size);
 
 // --- kPredictRows ---
 
-/// A batch of feature rows to predict. `rows` is row-major
-/// (num_rows x num_features); `input_cardinalities` has one entry per row
-/// and feeds the per-tuple scaling exactly like
+/// A batch of feature rows to predict, each on its own. `rows` is
+/// row-major (num_rows x num_features); `input_cardinalities` has one entry
+/// per row and feeds the per-tuple scaling exactly like
 /// T3Model::PredictPipelineSeconds (ignored by per-pipeline/per-query
-/// models).
+/// models, for which a row is a whole pipeline's or query's vector).
 struct PredictRowsRequest {
   uint32_t num_features = 0;
   std::vector<double> rows;

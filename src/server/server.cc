@@ -187,9 +187,9 @@ void DrainWakePipe(int wake_read_fd) {
 }  // namespace
 
 Frame PredictionServer::Predict(const std::vector<double>& rows,
-                                size_t num_rows,
                                 const std::vector<double>& cardinalities,
-                                bool sum_to_one) {
+                                bool plan) {
+  const size_t num_rows = cardinalities.size();
   predict_requests_.fetch_add(1, std::memory_order_relaxed);
   rows_predicted_.fetch_add(num_rows, std::memory_order_relaxed);
   uint64_t max_rows = max_request_rows_.load(std::memory_order_relaxed);
@@ -208,31 +208,22 @@ Frame PredictionServer::Predict(const std::vector<double>& rows,
         "model's %zu features",
         rows.size(), num_rows, dim)));
   }
-  if (sum_to_one && model->model.target() == PredictionTarget::kPerQuery) {
-    // A per-query model was trained on summed query vectors
-    // (SummedQueryFeatures), so summing its per-pipeline outputs would
-    // answer with a number it was never trained to produce.
-    return EncodeErrorResponse(FailedPreconditionError(StrFormat(
-        "plan requests need a per-tuple or per-pipeline model; the served "
-        "model %s (version %u) has the per-query target",
-        model->source.c_str(), model->version)));
-  }
 
-  std::vector<double> seconds(num_rows);
-  model->evaluator().PredictBatch(rows.data(), num_rows, dim, seconds.data());
-  for (size_t i = 0; i < num_rows; ++i) {
-    seconds[i] = model->RowSeconds(seconds[i], cardinalities[i]);
-  }
+  const ForestEvaluator& evaluator = model->evaluator();
   PredictResponse response;
   response.model_version = model->version;
-  if (sum_to_one) {
-    // Plan request: pipeline predictions summed left to right, the
-    // PredictQuerySeconds convention.
-    double total = 0.0;
-    for (const double value : seconds) total += value;
-    response.predictions.push_back(total);
+  if (plan) {
+    response.predictions.push_back(model->model.QuerySeconds(
+        rows.data(), num_rows, cardinalities.data(),
+        [&evaluator](const double* row) { return evaluator.Predict(row); }));
   } else {
-    response.predictions = std::move(seconds);
+    response.predictions.resize(num_rows);
+    evaluator.PredictBatch(rows.data(), num_rows, dim,
+                           response.predictions.data());
+    for (size_t i = 0; i < num_rows; ++i) {
+      response.predictions[i] =
+          model->RowSeconds(response.predictions[i], cardinalities[i]);
+    }
   }
   return EncodePredictResponse(response);
 }
@@ -251,9 +242,8 @@ void PredictionServer::HandleFrame(Connection* conn, MessageType type,
         conn->Send(EncodeErrorResponse(request.status()));
         return;
       }
-      conn->Send(Predict(request->rows, request->num_rows(),
-                         request->input_cardinalities,
-                         /*sum_to_one=*/false));
+      conn->Send(Predict(request->rows, request->input_cardinalities,
+                         /*plan=*/false));
       return;
     }
     case MessageType::kPredictPlan: {
@@ -266,8 +256,8 @@ void PredictionServer::HandleFrame(Connection* conn, MessageType type,
         conn->Send(EncodeErrorResponse(input.status()));
         return;
       }
-      conn->Send(Predict(input->rows, input->num_rows(),
-                         input->input_cardinalities, /*sum_to_one=*/true));
+      conn->Send(Predict(input->rows, input->input_cardinalities,
+                         /*plan=*/true));
       return;
     }
     case MessageType::kSwapModel: {

@@ -63,10 +63,11 @@ struct ServerStats {
 ///    event loop over non-blocking sockets; all workers poll the shared
 ///    listener, so accepted connections spread across loops;
 ///  - a connection belongs to the worker that accepted it. That worker
-///    decodes each request, predicts it in line (one model snapshot, one
-///    PredictBatch over the request's own rows), and queues the response,
-///    so responses leave in request order and a large request delays only
-///    the connections of its own worker;
+///    decodes each request, predicts it in line (one model snapshot; one
+///    PredictBatch over a rows request, T3Model::QuerySeconds over a
+///    plan's pipeline rows), and queues the response, so responses leave
+///    in request order and a large request delays only the connections of
+///    its own worker;
 ///  - models are versioned snapshots swapped atomically through the
 ///    ModelRegistry (release/acquire shared_ptr publish) — swaps never
 ///    drop or stall requests;
@@ -122,12 +123,12 @@ class PredictionServer {
   void WorkerLoop(Worker* worker);
   void HandleFrame(Connection* conn, MessageType type,
                    std::vector<uint8_t> payload);
-  /// Predicts `num_rows` row-major rows on one snapshot of the current
-  /// model and returns the response frame: per-row seconds, or their sum
-  /// for a plan (`sum_to_one`), or a kError when the rows do not fit the
-  /// model.
-  Frame Predict(const std::vector<double>& rows, size_t num_rows,
-                const std::vector<double>& cardinalities, bool sum_to_one);
+  /// Predicts the row-major rows, one per cardinality, on one snapshot of
+  /// the current model and returns the response frame: per-row seconds,
+  /// or for a `plan` the query's seconds through T3Model::QuerySeconds
+  /// (any target), or a kError when the rows do not fit the model.
+  Frame Predict(const std::vector<double>& rows,
+                const std::vector<double>& cardinalities, bool plan);
   void ExecuteQueuedSwap();
   /// Writes as much pending output as the socket accepts; false when the
   /// connection failed (peer reset / EPIPE) and must be reaped.

@@ -625,6 +625,78 @@ TEST(EvaluateTest, EvaluateModelMatchesPerRecordReference) {
   EXPECT_EQ(from_evals.ToString(), from_errors.ToString());
 }
 
+TEST(EvaluateTest, AblationTargetsMatchTheirQueryFormulas) {
+  // The per-pipeline and per-query named configs evaluate to their own
+  // formulas, bit for bit: the pipelines' predicted seconds summed in
+  // order, and one prediction over the summed query vector.
+  const std::string dir = MakeScratchDataDir("ablation_targets");
+  Workbench workbench(dir, MiniCorpusOptions());
+  std::vector<const QueryRecord*> records;
+  for (const QueryRecord& record : workbench.corpus().records) {
+    records.push_back(&record);
+  }
+
+  for (NamedModelConfig named : NamedModelConfigs()) {
+    if (named.name != "ablation_per_pipeline" &&
+        named.name != "ablation_per_query") {
+      continue;
+    }
+    // The per-query train split is 12 rows: small leaves and no held-out
+    // rows, so that the forest splits and the formulas are told apart.
+    named.config.train.num_trees = 12;
+    named.config.train.min_data_in_leaf = 2;
+    named.config.train.validation_fraction = 0.0;
+    const T3Model& model = workbench.GetModel(named);
+    ASSERT_GT(model.forest().NumLeaves(), model.forest().trees.size())
+        << named.name;
+    const std::vector<RecordEvaluation> evals = EvaluateModel(model, records);
+    ASSERT_EQ(evals.size(), records.size());
+    for (size_t i = 0; i < records.size(); ++i) {
+      const QueryRecord& record = *records[i];
+      double expected = 0.0;
+      if (model.target() == PredictionTarget::kPerQuery) {
+        const std::vector<double> summed =
+            SummedQueryFeatures(record, CardinalityMode::kTrue);
+        expected = model.PredictPipelineSeconds(summed.data(), 0.0);
+      } else {
+        for (const PipelineFeatureVector& features : record.feat_true) {
+          expected += model.PredictPipelineSeconds(
+              features.values.data(), features.input_cardinality);
+        }
+      }
+      EXPECT_EQ(evals[i].predicted_seconds, expected)
+          << named.name << " record " << i;
+    }
+  }
+}
+
+TEST(EvaluateTest, RowNarrowerThanTheModelPredictsZero) {
+  // The corpus loader accepts any feature-line width: this record's FT row
+  // has 40 values, its FE row 48. Against a 48-feature model the narrow row
+  // does not fit and the record predicts 0 s instead of reading past the
+  // row; the fitting FE row predicts as usual.
+  Result<Corpus> corpus = LoadCorpusFromFile(
+      std::string(T3_SOURCE_DIR) + "/tests/data/corpus_bad_dim.txt");
+  ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
+  Result<T3Model> model = T3Model::LoadFromFile(
+      std::string(T3_SOURCE_DIR) + "/data/model_loo_airline.txt");
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+  ASSERT_EQ(model->forest().num_features, 48);
+  ASSERT_EQ(corpus->records.size(), 1u);
+  const QueryRecord& record = corpus->records[0];
+  ASSERT_EQ(record.feat_true[0].values.size(), 40u);
+  ASSERT_EQ(record.feat_est[0].values.size(), 48u);
+
+  EXPECT_EQ(PredictQuerySeconds(*model, record, CardinalityMode::kTrue), 0.0);
+  EXPECT_EQ(PredictQuerySeconds(*model, record, CardinalityMode::kEstimated),
+            model->PredictPipelineSeconds(record.feat_est[0].values.data(),
+                                          record.feat_est[0].input_cardinality));
+  const std::vector<RecordEvaluation> evals =
+      EvaluateModel(*model, {&record});
+  ASSERT_EQ(evals.size(), 1u);
+  EXPECT_EQ(evals[0].predicted_seconds, 0.0);
+}
+
 TEST(ReportTest, TableFormatsAlignedColumns) {
   ReportTable table({"name", "value"});
   table.AddRow({"alpha", "1"});

@@ -374,10 +374,10 @@ TEST(PredictionServerTest, PredictPlanWithForgedCountIsAnError) {
   (*server)->Stop();
 }
 
-TEST(PredictionServerTest, PredictPlanNeedsAPipelineLevelModel) {
+TEST(PredictionServerTest, PredictPlanOnPerQueryModelPredictsSummedRow) {
   // A per-query model predicts a whole query from its summed feature
-  // vector; summing its per-pipeline outputs answers a question it was
-  // never trained on, so plan requests fail while rows requests still work.
+  // vector: a plan request sums the plan's pipeline rows and predicts once
+  // with cardinality 0, while rows requests still predict row by row.
   const T3Model reference(SeededForest(305, 48, 6),
                           PredictionTarget::kPerQuery);
   Result<std::shared_ptr<const ServingModel>> serving =
@@ -387,17 +387,28 @@ TEST(PredictionServerTest, PredictPlanNeedsAPipelineLevelModel) {
       PredictionServer::Start(*std::move(serving), TestServerOptions());
   ASSERT_TRUE(server.ok()) << server.status().ToString();
   Result<std::string> plan_text = ReadFileToString(
-      std::string(T3_SOURCE_DIR) + "/data/plan_agg_golden.txt");
+      std::string(T3_SOURCE_DIR) + "/data/plan_join_golden.txt");
   ASSERT_TRUE(plan_text.ok()) << plan_text.status().ToString();
+
+  // The expected value by hand: the pipeline rows summed elementwise in
+  // pipeline order, then one prediction.
+  Result<PlanPredictionInput> input = BuildPlanPredictionInput(*plan_text);
+  ASSERT_TRUE(input.ok()) << input.status().ToString();
+  ASSERT_EQ(input->num_rows(), 3u);
+  ASSERT_EQ(input->num_features, 48u);
+  std::vector<double> summed(input->rows.begin(), input->rows.begin() + 48);
+  for (size_t r = 1; r < input->num_rows(); ++r) {
+    for (size_t i = 0; i < 48; ++i) summed[i] += input->rows[r * 48 + i];
+  }
+  const double expected = reference.PredictPipelineSeconds(summed.data(), 0.0);
+
   Result<PredictionClient> client =
       PredictionClient::Connect("127.0.0.1", (*server)->port());
   ASSERT_TRUE(client.ok());
-
   Result<PredictResponse> plan = client->PredictPlan(*plan_text);
-  ASSERT_FALSE(plan.ok());
-  EXPECT_EQ(plan.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(plan.status().message().find("per-query"), std::string::npos)
-      << plan.status().ToString();
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_EQ(plan->predictions.size(), 1u);
+  EXPECT_EQ(plan->predictions[0], expected);
 
   const PredictRowsRequest request = MakeRandomRequest(306, 5, 48);
   Result<PredictResponse> rows = client->PredictRows(request);
