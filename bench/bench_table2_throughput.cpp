@@ -1,14 +1,18 @@
 // Reproduces Table 2 (tree-model rows): prediction throughput in
-// predictions per second of the four forest evaluators on the trained main
-// model, swept over batch sizes: back-to-back single-row calls, PredictBatch
-// calls of 8, 64 and 1024 rows, and one batched call over the whole
-// >1000-row pipeline matrix of the test split. Every call starts where the
+// predictions per second of the four forest evaluators, swept over batch
+// sizes: back-to-back single-row calls, PredictBatch calls of 8, 64 and
+// 1024 rows, and one batched call over the whole >1000-row pipeline matrix
+// of the workbench corpus's test split. Every call starts where the
 // previous one stopped, so no size times one cached row. The paper's
 // finding: batching helps even tree models and compiled trees beat
 // interpretation. QuickScorer, the serving evaluator, is timed alongside.
-// The batched path that serves is the acceptance gate: QuickScorer's
-// all-rows throughput must be >= 2x the single-row scalar-JIT throughput,
-// or the bench exits 1.
+//
+// The model is the checked-in 200-tree data/model_loo_airline.txt, not a
+// freshly trained one: early stopping makes a live build keep a different
+// tree count from run to run, and the gate below is only comparable
+// between runs on one fixed forest. The gate compares evaluators, not
+// batching: QuickScorer's all-rows throughput must be >= 2x the single-row
+// scalar-JIT throughput, or the bench exits 1.
 
 #include <array>
 #include <cstddef>
@@ -22,6 +26,9 @@
 
 namespace t3 {
 namespace {
+
+// The timed model, relative to the source tree.
+constexpr const char* kModelFile = "data/model_loo_airline.txt";
 
 // The batch sizes between the single-row and the all-rows column.
 constexpr std::array<size_t, 3> kSweepRows = {8, 64, 1024};
@@ -50,9 +57,13 @@ void CheckBatchMatchesForest(const ForestEvaluator& evaluator,
 }
 
 int Run() {
-  Workbench& workbench = bench::SharedWorkbench();
-  const Corpus& corpus = workbench.corpus();
-  const T3Model& model = workbench.MainModel();
+  const Result<T3Model> model = T3Model::LoadFromFile(
+      std::string(T3_SOURCE_DIR) + "/" + kModelFile);
+  if (!model.ok()) {
+    std::fprintf(stderr, "%s\n", model.status().ToString().c_str());
+    return 1;
+  }
+  const Corpus& corpus = bench::SharedWorkbench().corpus();
   const auto test_records = SelectRecords(corpus, bench::IsTest);
   T3_CHECK(!test_records.empty());
 
@@ -77,7 +88,8 @@ int Run() {
               rows.begin() + static_cast<std::ptrdiff_t>(kMaxSweepRows * dim));
   std::vector<double> out(num_rows);
 
-  const Forest& forest = model.forest();
+  const Forest& forest = model->forest();
+  T3_CHECK(static_cast<size_t>(forest.num_features) == dim);
   const InterpretedEvaluator interpreted(forest);
   const FlatEvaluator flat(forest);
   auto quickscorer = QuickScorerEvaluator::Build(forest);
@@ -127,10 +139,11 @@ int Run() {
 
   PrintExperimentHeader(
       "Table 2: Throughput of tree evaluators in predictions per second",
-      StrFormat("%zu-tree main model; single-row calls, PredictBatch over "
+      StrFormat("%zu-tree model %s; single-row calls, PredictBatch over "
                 "consecutive 8/64/1024-row slices, and one PredictBatch over "
                 "all %zu pipeline rows (%zu test queries).",
-                forest.trees.size(), num_rows, kBatchQueries));
+                forest.trees.size(), kModelFile, num_rows,
+                kBatchQueries));
   std::vector<std::string> header = {"Evaluator", "1 row"};
   for (const size_t batch : kSweepRows) {
     header.push_back(StrFormat("%zu rows", batch));

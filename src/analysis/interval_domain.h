@@ -11,7 +11,7 @@
 namespace t3 {
 
 /// Exact interval domain over doubles, shared by the translation validator
-/// and ForestDiff.
+/// and the per-cell differential check (analysis/differential_check.h).
 ///
 /// Every non-NaN double is mapped to an unsigned 64-bit *ordered key* such
 /// that `a < b` (as doubles) iff `Key(a) < Key(b)`: positive doubles get
@@ -159,9 +159,9 @@ struct FeatureBox {
 /// (GoesLeft semantics: strict `<`, NaN routed by default_left), and calls
 /// `fn(node_index, box)` for every leaf whose cell is feasible. The cells
 /// passed to `fn` partition the feasible part of the initial box exactly —
-/// the foundation of both the equivalence proof and ForestDiff. Iterative
-/// (explicit stack): adversarial tree depth must not overflow the call
-/// stack. The tree must already be structurally valid (Forest::Validate).
+/// the foundation of both the equivalence proof and the differential
+/// check's witness rows. Iterative (explicit stack): adversarial tree depth
+/// must not overflow the call stack. The tree must already be structurally valid (Forest::Validate).
 template <typename LeafFn>
 void ForEachLeafCell(const Tree& tree, const FeatureBox& box, LeafFn&& fn) {
   struct Frame {

@@ -6,10 +6,10 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/forest_diff.h"
 #include "common/check.h"
 #include "common/hash.h"
 #include "common/string_util.h"
+#include "common/text_format.h"
 #include "common/timer.h"
 #include "features/feature_registry.h"
 #include "gbt/trainer.h"
@@ -312,31 +312,30 @@ const T3Model& Workbench::GetModelLocked(const std::string& name,
       std::make_unique<T3Model>(*std::move(forest), config.target);
   const T3Model& result = *(models_[key] = std::move(model));
 
-  const Status saved = result.SaveToFile(cache_path);
+  const std::string text = result.ToText();
+  const Status saved = WriteStringToFile(cache_path, text);
   if (!saved.ok()) {
     std::fprintf(stderr, "Workbench: cannot cache model %s: %s\n",
                  key.c_str(), saved.ToString().c_str());
     return result;
   }
 
-  // Bit-exactness proof for the cache we just wrote: reload it and
-  // statically bound max |trained(x) - cached(x)| over the whole feature
-  // space (ProveForestsEqual). The text serializer is bit-exact, so the proven
-  // bound must be exactly zero — anything else means future runs would
+  // Bit-exactness proof for the cache just written: the file reads back as
+  // exactly the trained model's text, and that text reparses into the same
+  // bytes (ProveTextRoundTrip). Anything else means future runs would
   // silently benchmark a model that diverges from the one just trained.
-  Result<T3Model> reread = T3Model::LoadFromFile(cache_path);
-  if (!reread.ok()) {
-    std::fprintf(stderr, "Workbench: cannot reread cached model %s: %s\n",
-                 cache_path.c_str(), reread.status().ToString().c_str());
-    T3_CHECK(reread.ok());
-  }
-  const Status same = ProveForestsEqual(result.forest(), reread->forest());
-  if (!same.ok()) {
+  Result<std::string> reread = ReadFileToString(cache_path);
+  const Status proven =
+      !reread.ok() ? reread.status()
+      : *reread != text
+          ? InternalError("the file differs from the text written")
+          : ProveTextRoundTrip(text, cache_path);
+  if (!proven.ok()) {
     std::fprintf(stderr,
-                 "Workbench: cached model %s drifts from the trained one: "
+                 "Workbench: cached model %s fails its round-trip proof: "
                  "%s\n",
-                 cache_path.c_str(), same.ToString().c_str());
-    T3_CHECK_OK(same);
+                 cache_path.c_str(), proven.ToString().c_str());
+    T3_CHECK_OK(proven);
   }
   return result;
 }

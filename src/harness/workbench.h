@@ -57,8 +57,9 @@ std::vector<NamedModelConfig> NamedModelConfigs();
 ///
 /// Training is bit-deterministic per configuration: the same corpus and
 /// config produce byte-identical cache files regardless of thread count or
-/// process. Every freshly written cache is reloaded and proven bit-exact
-/// against the in-memory model via ProveForestsEqual; a cache file the loader
+/// process. Every freshly written cache is read back and proven bit-exact by
+/// its bytes: the file equals the in-memory model's ToText(), which
+/// ProveTextRoundTrip reparses into the same bytes; a cache file the loader
 /// rejects (corrupt, truncated, wrong target) is discarded and the model
 /// retrained, never served.
 ///

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -45,6 +46,12 @@ inline std::vector<double> SumRows(const double* rows, size_t num_rows,
 ///   t3model target 0
 ///   t3gbt v1
 ///   ...
+///
+/// The text is the model artifact: ToText writes every field prediction
+/// reads (the target, num_features, base_score, and per node is_leaf,
+/// feature, threshold, left, right, default_left or the leaf value) and
+/// nothing else, every double through AppendExactDouble. Two models with
+/// equal text therefore predict bit-identically on every input.
 class T3Model {
  public:
   T3Model() = default;
@@ -102,6 +109,12 @@ class T3Model {
     return total;
   }
 
+  /// The model file's bytes: the header line, then Forest::ToText.
+  std::string ToText() const;
+  /// Parses ToText output; rejects what Forest::FromText rejects.
+  static Result<T3Model> FromText(std::string_view text);
+
+  /// ToText written to / FromText read from a whole file.
   Status SaveToFile(const std::string& path) const;
   static Result<T3Model> LoadFromFile(const std::string& path);
 
@@ -109,6 +122,15 @@ class T3Model {
   Forest forest_;
   PredictionTarget target_ = PredictionTarget::kPerTuple;
 };
+
+/// The round-trip proof for a model artifact: OK when `text` parses back
+/// into a model whose ToText() is the same bytes. By the injectivity of
+/// ToText (see T3Model), a model whose text passes predicts exactly as the
+/// model it was reparsed from, on every input, and so does every later
+/// load of those bytes. InternalError naming `what` when the text does not
+/// parse or reserializes differently. The server proves every model before
+/// publishing it, the harness every model cache it writes.
+Status ProveTextRoundTrip(std::string_view text, const std::string& what);
 
 }  // namespace t3
 

@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "analysis/forest_diff.h"
+#include "analysis/differential_check.h"
 #include "common/check.h"
 #include "common/string_util.h"
 
@@ -10,23 +10,11 @@ namespace t3 {
 
 Result<std::shared_ptr<const ServingModel>> MakeServingModel(
     T3Model model, uint32_t version, std::string source) {
-  // Re-prove the text-format round trip before this model can ever be
-  // published: serialize, reparse, and statically bound the divergence over
-  // the whole feature space. The serializer is %.17g-bit-exact, so anything
-  // but a proven zero means the artifact would not survive a cache
-  // write/reload cycle — refuse to serve it.
-  Result<Forest> reparsed = Forest::FromText(model.forest().ToText());
-  if (!reparsed.ok()) {
-    return InternalError(StrFormat(
-        "model %s fails its own serialization round trip: %s",
-        source.c_str(), reparsed.status().ToString().c_str()));
-  }
-  const Status same = ProveForestsEqual(model.forest(), *reparsed);
-  if (!same.ok()) {
-    return Status(same.code(),
-                  StrFormat("model %s drifts from its serialized form: %s",
-                            source.c_str(), same.message().c_str()));
-  }
+  // Re-prove the text round trip before this model can ever be published:
+  // a model whose text does not reparse into the same bytes would not
+  // survive a cache write/reload cycle, so it is refused.
+  const Status same = ProveTextRoundTrip(model.ToText(), source);
+  if (!same.ok()) return same;
 
   auto serving = std::make_shared<ServingModel>();
   serving->model = std::move(model);

@@ -53,7 +53,7 @@ struct ServingModel {
 };
 
 /// Wraps `model` as a serving snapshot: re-proves text-format bit-exactness
-/// (serialize -> reparse -> ProveForestsEqual, the same proof
+/// (ProveTextRoundTrip over model.ToText(), the same proof
 /// Workbench::GetModel runs on freshly written caches), then builds the
 /// flat and QuickScorer evaluators. Debug builds also run
 /// BatchDifferentialCheck over QuickScorer. InternalError when a proof or

@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/forest_diff.h"
+#include "analysis/differential_check.h"
 #include "analysis/forest_verifier.h"
 #include "analysis/jit_auditor.h"
 #include "common/random.h"

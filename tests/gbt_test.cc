@@ -1,5 +1,8 @@
 #include <cmath>
+#include <functional>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -9,6 +12,7 @@
 #include "gbt/forest.h"
 #include "gbt/trainer.h"
 #include "model/t3_model.h"
+#include "random_forest.h"
 
 namespace t3 {
 namespace {
@@ -327,6 +331,99 @@ TEST(T3ModelTest, RejectsMalformedTargetHeader) {
     ASSERT_TRUE(text.ok());
     EXPECT_FALSE(Forest::ParseTextUnvalidated(*text).ok())
         << "header parsed: " << header;
+  }
+}
+
+// The (tree, node) index of the first node whose is_leaf is `leaf`;
+// {trees.size(), 0} when there is none.
+std::pair<size_t, size_t> FirstNode(const Forest& forest, bool leaf) {
+  for (size_t t = 0; t < forest.trees.size(); ++t) {
+    const std::vector<TreeNode>& nodes = forest.trees[t].nodes;
+    for (size_t n = 0; n < nodes.size(); ++n) {
+      if (nodes[n].is_leaf == leaf) return {t, n};
+    }
+  }
+  return {forest.trees.size(), 0};
+}
+
+TEST(T3ModelTest, TextChangesWithEveryFieldPredictionReads) {
+  // ProveTextRoundTrip accepts a model whose text reparses into the same
+  // bytes. That proves bit-identical predictions only if equal text means
+  // equal fields: a change to any field Forest::Predict reads, down to one
+  // ULP or the sign of a zero, must change the text.
+  constexpr double kUp = std::numeric_limits<double>::infinity();
+  using Perturbation = std::function<void(Forest*)>;
+  Rng rng(2718);
+  for (int sweep = 0; sweep < 10; ++sweep) {
+    const Forest forest = MakeRandomForest(&rng, 6, 4, 4);
+    const std::pair<size_t, size_t> inner = FirstNode(forest, false);
+    const std::pair<size_t, size_t> leaf = FirstNode(forest, true);
+    ASSERT_LT(inner.first, forest.trees.size()) << "sweep " << sweep;
+    auto node = [](Forest* f, std::pair<size_t, size_t> at) -> TreeNode& {
+      return f->trees[at.first].nodes[at.second];
+    };
+    auto expect_told_apart = [sweep](const char* name, const Forest& before,
+                                     const Forest& after) {
+      const std::string a =
+          T3Model(before, PredictionTarget::kPerTuple).ToText();
+      const std::string b =
+          T3Model(after, PredictionTarget::kPerTuple).ToText();
+      EXPECT_NE(b, a) << name << ", sweep " << sweep;
+      for (const std::string* text : {&a, &b}) {
+        const Status proven = ProveTextRoundTrip(*text, name);
+        EXPECT_TRUE(proven.ok()) << proven.ToString();
+      }
+    };
+
+    const std::vector<std::pair<const char*, Perturbation>> perturbations = {
+        {"base_score +1 ULP",
+         [&](Forest* f) { f->base_score = std::nextafter(f->base_score, kUp); }},
+        {"base_score -1 ULP",
+         [&](Forest* f) { f->base_score = std::nextafter(f->base_score, -kUp); }},
+        {"threshold +1 ULP",
+         [&](Forest* f) {
+           double& t = node(f, inner).threshold;
+           t = std::nextafter(t, kUp);
+         }},
+        {"threshold -1 ULP",
+         [&](Forest* f) {
+           double& t = node(f, inner).threshold;
+           t = std::nextafter(t, -kUp);
+         }},
+        {"leaf value +1 ULP",
+         [&](Forest* f) {
+           double& v = node(f, leaf).value;
+           v = std::nextafter(v, kUp);
+         }},
+        {"leaf value -1 ULP",
+         [&](Forest* f) {
+           double& v = node(f, leaf).value;
+           v = std::nextafter(v, -kUp);
+         }},
+        {"default_left flipped",
+         [&](Forest* f) {
+           bool& default_left = node(f, inner).default_left;
+           default_left = !default_left;
+         }},
+        {"split feature changed",
+         [&](Forest* f) {
+           int& feature = node(f, inner).feature;
+           feature = (feature + 1) % f->num_features;
+         }},
+    };
+    for (const auto& [name, perturb] : perturbations) {
+      Forest changed = forest;
+      perturb(&changed);
+      expect_told_apart(name, forest, changed);
+    }
+
+    // x < 0.0 and x < -0.0 agree on every x, yet the text tells the two
+    // thresholds apart.
+    Forest zero = forest;
+    node(&zero, inner).threshold = 0.0;
+    Forest negative_zero = zero;
+    node(&negative_zero, inner).threshold = -0.0;
+    expect_told_apart("threshold 0.0 -> -0.0", zero, negative_zero);
   }
 }
 

@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/forest_diff.h"
 #include "common/check.h"
 #include "common/stats.h"
 #include "common/string_util.h"
@@ -329,22 +328,30 @@ TEST(WorkbenchTest, GetModelCachesEveryNamedConfigBitExactly) {
   for (NamedModelConfig named : NamedModelConfigs()) {
     // Small forests keep 7 training runs fast; everything else (target,
     // mode, filters, dropped features, runs limit) is the registry entry.
+    // Small leaves and no held-out rows make every forest split (the
+    // per-query train split is 12 rows), so each cache round-trips inner
+    // nodes, not only leaves.
     named.config.train.num_trees = 12;
+    named.config.train.min_data_in_leaf = 2;
+    named.config.train.validation_fraction = 0.0;
     const T3Model& model = workbench.GetModel(named);
     EXPECT_EQ(model.target(), named.config.target) << named.name;
+    EXPECT_GT(model.forest().NumLeaves(), model.forest().trees.size())
+        << named.name;
 
-    // The cache file exists and reloads into a forest that ForestDiff
-    // proves pointwise identical over the entire input space.
+    // The cache file holds exactly the model's text, and reloads into a
+    // model with the same text: by ToText's injectivity, one that predicts
+    // bit-identically on every input.
     const std::string cache_path = workbench.ModelCachePath(
         named.name, named.mode, named.config, named.runs_limit);
+    Result<std::string> bytes = ReadFileToString(cache_path);
+    ASSERT_TRUE(bytes.ok()) << named.name << ": " << bytes.status().ToString();
+    EXPECT_EQ(*bytes, model.ToText()) << named.name;
     Result<T3Model> reloaded = T3Model::LoadFromFile(cache_path);
     ASSERT_TRUE(reloaded.ok())
         << named.name << ": " << reloaded.status().ToString();
     EXPECT_EQ(reloaded->target(), model.target()) << named.name;
-    Result<ForestDiffBounds> drift =
-        ForestDiff(model.forest(), reloaded->forest());
-    ASSERT_TRUE(drift.ok()) << drift.status().ToString();
-    EXPECT_EQ(drift->MaxAbs(), 0.0) << named.name;
+    EXPECT_EQ(reloaded->ToText(), model.ToText()) << named.name;
 
     // A second request is served from memory: same instance, no retrain.
     EXPECT_EQ(&workbench.GetModel(named), &model) << named.name;
@@ -366,17 +373,14 @@ TEST(WorkbenchTest, SecondWorkbenchServesTheCacheFileUnchanged) {
 
   // A fresh process (modeled by a fresh Workbench) loads the cache instead
   // of retraining: the file is byte-identical afterwards and the served
-  // model matches the trained one everywhere.
+  // model has the trained one's text.
   Workbench second(dir, MiniCorpusOptions());
   const T3Model& served =
       second.GetModel("main", CardinalityMode::kTrue, nullptr, config);
   Result<std::string> bytes_after = ReadFileToString(cache_path);
   ASSERT_TRUE(bytes_after.ok());
   EXPECT_EQ(*bytes_after, *bytes);
-  Result<ForestDiffBounds> drift =
-      ForestDiff(trained.forest(), served.forest());
-  ASSERT_TRUE(drift.ok());
-  EXPECT_EQ(drift->MaxAbs(), 0.0);
+  EXPECT_EQ(served.ToText(), trained.ToText());
 }
 
 TEST(WorkbenchTest, TrainingIsByteDeterministicAcrossThreadCounts) {
@@ -478,13 +482,10 @@ TEST(WorkbenchTest, CorruptCacheIsRejectedAndRetrained) {
       workbench.GetModel("main", CardinalityMode::kTrue, nullptr, config);
   // The served model is a real retrained forest, not the planted stub...
   EXPECT_GT(model.forest().trees.size(), 1u);
-  // ...and the cache now holds it, proven by reload + ForestDiff.
-  Result<T3Model> reloaded = T3Model::LoadFromFile(cache_path);
-  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
-  Result<ForestDiffBounds> drift =
-      ForestDiff(model.forest(), reloaded->forest());
-  ASSERT_TRUE(drift.ok());
-  EXPECT_EQ(drift->MaxAbs(), 0.0);
+  // ...and the cache now holds its exact text.
+  Result<std::string> cached = ReadFileToString(cache_path);
+  ASSERT_TRUE(cached.ok()) << cached.status().ToString();
+  EXPECT_EQ(*cached, model.ToText());
 }
 
 TEST(WorkbenchTest, CacheFromOtherCorpusOrTreeCapIsNotServed) {

@@ -7,9 +7,11 @@
 
 #include <atomic>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -279,6 +281,31 @@ TEST(PredictionServerTest, TreeWiderThanTheLeafMaskServesWithFlat) {
         << "row " << i;
   }
   (*server)->Stop();
+}
+
+TEST(PredictionServerTest, ModelWhoseTextCannotParseBackIsRefused) {
+  // An in-memory model can hold values its text cannot carry back: the
+  // reader's validator rejects a NaN leaf and an infinite threshold. Such
+  // a model fails the round-trip proof and is never published.
+  Forest nan_leaf = SeededForest(121, 4, 3);
+  Forest inf_threshold = nan_leaf;
+  for (TreeNode& node : nan_leaf.trees[1].nodes) {
+    if (node.is_leaf) node.value = std::numeric_limits<double>::quiet_NaN();
+  }
+  for (TreeNode& node : inf_threshold.trees[1].nodes) {
+    if (!node.is_leaf) node.threshold = std::numeric_limits<double>::infinity();
+  }
+  ASSERT_FALSE(inf_threshold.trees[1].nodes[0].is_leaf);
+  for (const auto& [forest, source] :
+       {std::pair{&nan_leaf, "test:nan-leaf"},
+        std::pair{&inf_threshold, "test:inf-threshold"}}) {
+    Result<std::shared_ptr<const ServingModel>> serving = MakeServingModel(
+        T3Model(*forest, PredictionTarget::kPerTuple), 1, source);
+    ASSERT_FALSE(serving.ok()) << source;
+    EXPECT_EQ(serving.status().code(), StatusCode::kInternal) << source;
+    EXPECT_NE(serving.status().message().find(source), std::string::npos)
+        << serving.status().ToString();
+  }
 }
 
 TEST(PredictionServerTest, PredictPlanMatchesPipelineSum) {

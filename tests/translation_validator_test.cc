@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/forest_diff.h"
 #include "analysis/interval_domain.h"
 #include "analysis/translation_validator.h"
 #include "analysis/tree_lifter.h"
@@ -18,8 +17,6 @@
 
 namespace t3 {
 namespace {
-
-constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 
 TreeNode Inner(int feature, double threshold, int left, int right,
                bool default_left = false) {
@@ -378,85 +375,6 @@ TEST_F(TranslationValidatorTest, LiftedSemanticsMatchExecutionOnMutants) {
   EXPECT_TRUE(root.nan_jumps);
   // And the validator flags it.
   EXPECT_TRUE(Validate(forest, mutated).HasErrors());
-}
-
-// ---------------------------------------------------------------------------
-// ForestDiff.
-
-TEST(ForestDiffTest, IdenticalForestsProveZeroDivergence) {
-  Rng rng(5150);
-  for (int i = 0; i < 10; ++i) {
-    const Forest forest = RandomForest(&rng);
-    Result<ForestDiffBounds> bounds = ForestDiff(forest, forest);
-    ASSERT_TRUE(bounds.ok());
-    EXPECT_EQ(bounds->min, 0.0) << "sweep " << i;
-    EXPECT_EQ(bounds->max, 0.0) << "sweep " << i;
-    EXPECT_EQ(bounds->MaxAbs(), 0.0);
-  }
-}
-
-TEST(ForestDiffTest, SingleLeafPerturbationIsBoundedExactly) {
-  const Forest a = OneTreeForest(
-      {Inner(0, 0.5, 1, 2), Leaf(1.0), Leaf(2.0)});
-  Forest b = a;
-  b.trees[0].nodes[1].value = 1.25;  // Left leaf moved by -0.25 (a - b).
-  Result<ForestDiffBounds> bounds = ForestDiff(a, b);
-  ASSERT_TRUE(bounds.ok());
-  EXPECT_EQ(bounds->min, -0.25);
-  EXPECT_EQ(bounds->max, 0.0);
-  EXPECT_EQ(bounds->MaxAbs(), 0.25);
-}
-
-TEST(ForestDiffTest, BaseScoreAndExtraTreesContribute) {
-  Forest a = OneTreeForest({Leaf(1.0)});
-  a.base_score = 2.0;
-  Forest b = a;
-  b.base_score = 1.5;
-  b.trees.push_back(Tree{{Inner(0, 0.0, 1, 2), Leaf(-1.0), Leaf(3.0)}});
-  // a - b = 0.5 - extra_tree, extra in [-1, 3] -> diff in [-2.5, 1.5].
-  Result<ForestDiffBounds> bounds = ForestDiff(a, b);
-  ASSERT_TRUE(bounds.ok());
-  EXPECT_EQ(bounds->min, -2.5);
-  EXPECT_EQ(bounds->max, 1.5);
-}
-
-TEST(ForestDiffTest, BoundIsSoundOnSampledRows) {
-  Rng rng(90210);
-  for (int i = 0; i < 20; ++i) {
-    Forest a = RandomForest(&rng);
-    // b: same shape with every leaf independently nudged — a realistic
-    // retraining drift shape.
-    Forest b = a;
-    for (Tree& tree : b.trees) {
-      for (TreeNode& node : tree.nodes) {
-        if (node.is_leaf && rng.Bernoulli(0.5)) {
-          node.value += rng.UniformDouble(-0.5, 0.5);
-        }
-      }
-    }
-    Result<ForestDiffBounds> bounds = ForestDiff(a, b);
-    ASSERT_TRUE(bounds.ok());
-    std::vector<double> row(static_cast<size_t>(a.num_features));
-    for (int r = 0; r < 100; ++r) {
-      for (double& v : row) {
-        v = rng.Bernoulli(0.15) ? kNan
-                                : 0.25 * static_cast<double>(
-                                             rng.UniformInt(-8, 8));
-      }
-      const double d = a.Predict(row.data()) - b.Predict(row.data());
-      EXPECT_GE(d, bounds->min - 1e-12) << "sweep " << i;
-      EXPECT_LE(d, bounds->max + 1e-12) << "sweep " << i;
-    }
-  }
-}
-
-TEST(ForestDiffTest, RejectsMismatchedFeatureSpacesAndInvalidInput) {
-  const Forest a = OneTreeForest({Leaf(1.0)}, /*num_features=*/4);
-  const Forest b = OneTreeForest({Leaf(1.0)}, /*num_features=*/5);
-  EXPECT_FALSE(ForestDiff(a, b).ok());
-  Forest invalid = a;
-  invalid.base_score = kNan;
-  EXPECT_FALSE(ForestDiff(invalid, a).ok());
 }
 
 }  // namespace

@@ -9,7 +9,7 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/forest_diff.h"
+#include "analysis/differential_check.h"
 #include "analysis/x86_decoder.h"
 #include "common/random.h"
 #include "common/thread_pool.h"

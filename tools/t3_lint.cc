@@ -69,8 +69,8 @@
 #include <vector>
 
 #include "analysis/corpus_auditor.h"
+#include "analysis/differential_check.h"
 #include "analysis/feature_auditor.h"
-#include "analysis/forest_diff.h"
 #include "analysis/forest_verifier.h"
 #include "analysis/plan_verifier.h"
 #include "cli_util.h"
